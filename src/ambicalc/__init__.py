@@ -27,6 +27,7 @@ from .errors import (
     SpaceMismatch,
     UnknownElement,
     UpperAxiomViolation,
+    UsageError,
     ValidationError,
 )
 from .frames import Frame, SituationSpace, decode_subset, encode_subset

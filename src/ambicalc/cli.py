@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .ambiguity import AmbiguityMap, ambiguity_from_interval, check_ambiguity_axioms
 from .documents import _parse_subset_key, document_for, dumps, loads
-from .errors import AmbicalcError, ParseError, SchemaError, ValidationError
+from .errors import AmbicalcError, ParseError, SchemaError, UsageError, ValidationError
 from .frames import Frame
 from .harness import GenConfig, fuzz, gen_assignment, gen_pointmap, gen_probability, universes_for
 from .incidence import (
@@ -120,7 +120,10 @@ def _parse_selector(arg: str | None, frame: Frame) -> Selector:
         except ValueError:
             raise SchemaError(f"bad selector seed in {arg!r}") from None
     if arg.startswith("@"):
-        raw = json.loads(_read(arg[1:]))
+        try:
+            raw = json.loads(_read(arg[1:]))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"selector table: {exc.msg}", line=exc.lineno, column=exc.colno) from None
         if not isinstance(raw, dict):
             raise SchemaError("a selector table must be a JSON object")
         mapping = {}
@@ -283,8 +286,15 @@ def _cmd_fishburn(args):
     return (0 if report.ok else 1), _report_text(report, args.format == "json")
 
 
+def _gen_config(**fields) -> GenConfig:
+    try:
+        return GenConfig(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_gen(args):
-    cfg = GenConfig(m=args.atoms, n=args.situations, seed=args.seed)
+    cfg = _gen_config(m=args.atoms, n=args.situations, seed=args.seed)
     if args.kind == "assignment":
         text = dumps(gen_assignment(cfg))
     elif args.kind == "probability":
@@ -296,7 +306,7 @@ def _cmd_gen(args):
 
 
 def _cmd_fuzz(args):
-    cfg = GenConfig(
+    cfg = _gen_config(
         m=args.atoms,
         n=args.situations,
         seed=args.seed,
@@ -389,7 +399,7 @@ def run_command(argv) -> tuple[int, str]:
         return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
         return args.func(args)
-    except (ParseError, SchemaError) as exc:
+    except (ParseError, SchemaError, UsageError) as exc:
         return 2, f"error: {exc}"
     except OSError as exc:
         return 2, f"error: {exc}"

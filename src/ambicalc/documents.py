@@ -71,6 +71,20 @@ def _names(raw, label: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _frame(raw: dict) -> Frame:
+    try:
+        return Frame(_names(raw["atoms"], "atoms"))
+    except (ValueError, DuplicateElement) as exc:
+        raise SchemaError(str(exc)) from None
+
+
+def _space(raw: dict) -> SituationSpace:
+    try:
+        return SituationSpace(_names(raw["situations"], "situations"))
+    except (ValueError, DuplicateElement) as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def _parse_subset_key(frame: Frame, key: str) -> int:
     if not isinstance(key, str):
         raise SchemaError(f"subset key must be a string, got {key!r}")
@@ -122,14 +136,14 @@ def load_object(raw: dict):
     kind = raw.get("kind")
     if kind in ("assignment", "ambiguity"):
         _require_fields(raw, ("kind", "atoms", "situations", "body"))
-        frame = Frame(_names(raw["atoms"], "atoms"))
-        space = SituationSpace(_names(raw["situations"], "situations"))
+        frame = _frame(raw)
+        space = _space(raw)
         m = _parse_map_body(raw["body"], frame, space)
         return BasicAssignment(m) if kind == "assignment" else AmbiguityMap(m)
     if kind == "interval":
         _require_fields(raw, ("kind", "atoms", "situations", "body"))
-        frame = Frame(_names(raw["atoms"], "atoms"))
-        space = SituationSpace(_names(raw["situations"], "situations"))
+        frame = _frame(raw)
+        space = _space(raw)
         body = raw["body"]
         if not isinstance(body, dict) or set(body) != {"lower", "upper"}:
             raise SchemaError('interval body must have exactly "lower" and "upper"')
@@ -138,8 +152,8 @@ def load_object(raw: dict):
         return IntervalStructure(lower, upper)
     if kind == "incidence":
         _require_fields(raw, ("kind", "atoms", "situations", "body"))
-        frame = Frame(_names(raw["atoms"], "atoms"))
-        space = SituationSpace(_names(raw["situations"], "situations"))
+        frame = _frame(raw)
+        space = _space(raw)
         body = raw["body"]
         if not isinstance(body, dict):
             raise SchemaError("body must be an object")
@@ -160,7 +174,7 @@ def load_object(raw: dict):
         return incidence_from_pointmap(PointMap(tuple(targets)), frame, space)
     if kind == "probability":
         _require_fields(raw, ("kind", "situations", "body"))
-        space = SituationSpace(_names(raw["situations"], "situations"))
+        space = _space(raw)
         body = raw["body"]
         if not isinstance(body, dict):
             raise SchemaError("body must be an object")
@@ -177,7 +191,7 @@ def load_object(raw: dict):
         return ProbabilityAssignment(space, tuple(weights))
     if kind == "mass":
         _require_fields(raw, ("kind", "atoms", "body"))
-        frame = Frame(_names(raw["atoms"], "atoms"))
+        frame = _frame(raw)
         body = raw["body"]
         if not isinstance(body, dict):
             raise SchemaError("body must be an object")

@@ -86,6 +86,10 @@ class SchemaError(AmbicalcError):
     """A document parses as JSON but does not match its declared kind."""
 
 
+class UsageError(AmbicalcError):
+    """A command-line flag is out of its allowed range."""
+
+
 class ValidationError(AmbicalcError):
     """A document's payload violates the invariants of its kind."""
 

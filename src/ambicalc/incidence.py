@@ -37,11 +37,15 @@ from .interval import (
 from .reports import AxiomReport, Witness, failed, passed
 from .sweeps import (
     SweepPolicy,
+    compat_failure,
     derive_seed,
     first_compat_violation,
     first_inter_hom_violation,
     first_union_hom_violation,
+    inter_hom_failure,
+    lazy_pair_samples,
     pair_samples,
+    union_hom_failure,
 )
 
 
@@ -198,8 +202,10 @@ def check_incidence_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -
             )
         )
 
-    pairs = pair_samples(fr.m, policy)
-    hit = first_union_hom_violation(t, size, pairs)
+    pairs = lazy_pair_samples(fr.m, policy)
+    hit = union_hom_failure(t)
+    if hit is not None:
+        hit = first_union_hom_violation(t, size, pairs()) or hit
     if hit is None:
         verdicts.append(passed("i3"))
     else:
@@ -227,7 +233,9 @@ def check_incidence_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -
         )
         verdicts.append(failed("i4", Witness(subset_a=a, detail=detail)))
 
-    hit = first_inter_hom_violation(t, size, pairs)
+    hit = inter_hom_failure(t)
+    if hit is not None:
+        hit = first_inter_hom_violation(t, size, pairs()) or hit
     if hit is None:
         verdicts.append(passed("i3'"))
     else:
@@ -332,8 +340,9 @@ def check_compatibility(
     if i.space != a.space:
         raise SpaceMismatch("incidence and ambiguity maps use different spaces")
     at, it = a.map.table, i.map.table
-    pairs = pair_samples(i.frame.m, policy)
-    hit = first_compat_violation(at, it, len(at), pairs)
+    hit = compat_failure(at, it)
+    if hit is not None:
+        hit = first_compat_violation(at, it, len(at), pair_samples(i.frame.m, policy)) or hit
     if hit is None:
         return AxiomReport((passed("compatibility"),))
     x, y = hit

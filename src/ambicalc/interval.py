@@ -28,7 +28,12 @@ from .sweeps import (
     first_overlap_violation,
     first_union_bound_violation,
     first_union_hom_violation,
+    inter_hom_failure,
+    lazy_pair_samples,
+    monotone_failure,
+    overlap_failure,
     pair_samples,
+    union_hom_failure,
 )
 
 
@@ -133,8 +138,10 @@ def check_upper_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -> Ax
             )
         )
 
-    pairs = pair_samples(m.frame.m, policy)
-    hit = first_union_hom_violation(t, size, pairs)
+    pairs = lazy_pair_samples(m.frame.m, policy)
+    hit = union_hom_failure(t)
+    if hit is not None:
+        hit = first_union_hom_violation(t, size, pairs()) or hit
     if hit is None:
         verdicts.append(passed("f̄3"))
     else:
@@ -148,7 +155,9 @@ def check_upper_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -> Ax
                 f"union of images is {sp.format_subset(t[a] | t[b])}",
             )
         )
-    hit = first_inter_bound_violation(t, size, pairs)
+    hit = monotone_failure(t)
+    if hit is not None:
+        hit = first_inter_bound_violation(t, size, pairs()) or hit
     if hit is None:
         verdicts.append(passed("f̄4"))
     else:
@@ -190,8 +199,10 @@ def check_lower_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -> Ax
             )
         )
 
-    pairs = pair_samples(m.frame.m, policy)
-    hit = first_inter_hom_violation(t, size, pairs)
+    pairs = lazy_pair_samples(m.frame.m, policy)
+    hit = inter_hom_failure(t)
+    if hit is not None:
+        hit = first_inter_hom_violation(t, size, pairs()) or hit
     if hit is None:
         verdicts.append(passed("f3"))
     else:
@@ -205,7 +216,9 @@ def check_lower_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -> Ax
                 f"intersection of images is {sp.format_subset(t[a] & t[b])}",
             )
         )
-    hit = first_union_bound_violation(t, size, pairs)
+    hit = monotone_failure(t)
+    if hit is not None:
+        hit = first_union_bound_violation(t, size, pairs()) or hit
     if hit is None:
         verdicts.append(passed("f4"))
     else:
@@ -329,8 +342,9 @@ def check_assignment(m: SetValuedMap, policy: SweepPolicy | None = None) -> Axio
             )
         )
 
-    pairs = pair_samples(m.frame.m, policy)
-    hit = first_overlap_violation(t, size, pairs)
+    hit = overlap_failure(t)
+    if hit is not None:
+        hit = first_overlap_violation(t, size, pair_samples(m.frame.m, policy)) or hit
     if hit is None:
         verdicts.append(passed("j3"))
     else:

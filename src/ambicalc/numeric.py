@@ -29,7 +29,7 @@ from .interval import (
     structure_from_assignment,
 )
 from .reports import AxiomReport, Witness, failed, passed
-from .sweeps import SweepPolicy, pair_samples
+from .sweeps import SweepPolicy, first_submodular_violation, pair_samples, submodular_failure
 
 Rational = Fraction
 
@@ -296,25 +296,12 @@ def fishburn_report(report: BeliefReport, policy: SweepPolicy | None = None) -> 
         )
         verdicts.append(failed("α2", Witness(subset_a=hit, detail=detail)))
 
-    # scale to a common denominator once so the pair sweep runs on integers
+    # scale to a common denominator once so the pair tests run on integers
     den = lcm(*(v.denominator for v in alpha)) if size else 1
     scaled = [v.numerator * (den // v.denominator) for v in alpha]
-    pairs = pair_samples(fr.m, policy)
-    hit = None
-    if pairs is None:
-        for a in range(size):
-            sa = scaled[a]
-            for b in range(a, size):
-                if scaled[a & b] + scaled[a | b] > sa + scaled[b]:
-                    hit = (a, b)
-                    break
-            if hit:
-                break
-    else:
-        for a, b in pairs:
-            if scaled[a & b] + scaled[a | b] > scaled[a] + scaled[b]:
-                hit = (a, b)
-                break
+    hit = submodular_failure(scaled)
+    if hit is not None:
+        hit = first_submodular_violation(scaled, size, pair_samples(fr.m, policy)) or hit
     if hit is None:
         verdicts.append(passed("α3"))
     else:

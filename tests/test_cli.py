@@ -139,6 +139,41 @@ def test_usage_errors_are_exit_2(tmp_path):
     assert run_command(["incidence", fx("fix1_assignment.json"), "--selector", "bogus"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        ([], "a frame needs at least one element"),
+        ([f"x{k}" for k in range(17)], "frame size 17 exceeds the cap of 16"),
+        (["x", "x"], "frame element 'x' declared twice"),
+    ],
+)
+def test_malformed_frame_is_exit_2(tmp_path, atoms, message):
+    doc = tmp_path / "frame.json"
+    doc.write_text(
+        json.dumps({"kind": "assignment", "atoms": atoms, "situations": ["w"], "body": {}}),
+        encoding="utf-8",
+    )
+    assert run_command(["check", str(doc)]) == (2, f"error: {message}")
+
+
+@pytest.mark.parametrize("atoms", ["0", "17"])
+def test_gen_atom_count_out_of_range_is_exit_2(atoms):
+    code, text = run_command(["gen", "--kind", "assignment", "--atoms", atoms])
+    assert (code, text) == (2, "error: atom count must be in 1..16")
+
+
+def test_fuzz_with_no_trials_is_exit_2():
+    assert run_command(["fuzz", "--trials", "0"]) == (2, "error: need at least one trial")
+
+
+def test_malformed_selector_table_is_exit_2(tmp_path):
+    table = tmp_path / "sel.json"
+    table.write_text('{"x": ', encoding="utf-8")
+    code, text = run_command(["incidence", fx("fix1_assignment.json"), "--selector", f"@{table}"])
+    assert code == 2
+    assert text.startswith("error: selector table: ")
+
+
 def test_explicit_selector_table(tmp_path):
     table = tmp_path / "sel.json"
     table.write_text(json.dumps({"x": "x", "y": "y", "x,y": "y"}), encoding="utf-8")
