@@ -375,18 +375,14 @@ def _cells_partition(t: tuple[int, ...], omega: int, n: int) -> bool:
 
 
 def lower_table_from_cells(cells: tuple[int, ...]) -> tuple[int, ...]:
-    """lower(A) = union of the cells of all subsets of A (submask iteration)."""
-    size = len(cells)
-    out = []
-    for a in range(size):
-        acc = cells[a]
-        sub = a
-        while sub:
-            sub = (sub - 1) & a
-            acc |= cells[sub]
-            if sub == 0:
-                break
-        out.append(acc)
+    """lower(A) = union of the cells of all subsets of A: an OR-zeta
+    transform, one pass per atom."""
+    out = list(cells)
+    size = len(out)
+    bit = 1
+    while bit < size:
+        out = [v | out[a ^ bit] if a & bit else v for a, v in enumerate(out)]
+        bit <<= 1
     return tuple(out)
 
 
@@ -394,21 +390,17 @@ def extract_assignment(s: IntervalStructure) -> BasicAssignment:
     """Recover the unique basic assignment of a structure.
 
     Each cell is the lower image minus the union of the lower images of all
-    strict subsets; the strict union is accumulated by submask iteration.
+    strict subsets.  The lower map is monotone, so that union is the union
+    over the maximal ones: cells(A) = lower(A) − ∪_{x∈A} lower(A−x).
     """
     lt = s.lower.table
     size = len(lt)
-    cells = [lt[0]]
-    for a in range(1, size):
-        acc = 0
-        sub = (a - 1) & a
-        while True:
-            acc |= lt[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & a
-        cells.append(lt[a] & ~acc)
-    cells_t = tuple(cells)
+    below = [0] * size
+    bit = 1
+    while bit < size:
+        below = [v | lt[a ^ bit] if a & bit else v for a, v in enumerate(below)]
+        bit <<= 1
+    cells_t = tuple(low & ~strict for low, strict in zip(lt, below))
 
     if not _cells_partition(cells_t, s.space.full, s.space.n):
         raise InternalInvariantFailure("extracted cells do not partition the space")
@@ -424,7 +416,7 @@ def structure_from_assignment(
 
     The lower map unions cells over subsets, the upper map is its dual, and
     the direct overlap formula upper(A) = union of cells meeting A is checked
-    against the dual on the side.
+    against the dual on the side, on every subset.
     """
     report = check_assignment(j.map, policy)
     if not report.ok:
@@ -436,20 +428,21 @@ def structure_from_assignment(
     lower = SetValuedMap(j.frame, j.space, lower_table_from_cells(cells))
     upper = dual_map(lower)
 
-    size = len(cells)
-    m = j.frame.m
-    if m <= 8:
-        probe = range(size)
-    else:
-        # spot-check the overlap formula on structured subsets for big frames
-        full = j.frame.full
-        probe = sorted({0, full, *(1 << k for k in range(m)), *(full ^ (1 << k) for k in range(m))})
-    for a in probe:
-        direct = 0
-        for b in range(size):
-            if b & a:
-                direct |= cells[b]
-        if direct != upper.table[a]:
+    # direct[A] = union of the cells meeting A, checked on every subset: the
+    # singleton {x} meets the cells whose subset holds x, and for larger A
+    # direct[A] = direct[A−low] ∪ direct[{low}], independently of the dual
+    direct = [0] * len(cells)
+    for b, cell in enumerate(cells):
+        rest = b if cell else 0
+        while rest:
+            x = rest & -rest
+            direct[x] |= cell
+            rest ^= x
+    for a, up in enumerate(upper.table):
+        if a & (a - 1):
+            low = a & -a
+            direct[a] = direct[a ^ low] | direct[low]
+        if direct[a] != up:
             raise InternalInvariantFailure(
                 "overlap formula disagrees with the dual upper map at "
                 f"{j.frame.format_subset(a)}"

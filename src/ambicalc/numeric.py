@@ -2,8 +2,10 @@
 
 Pushing a probability on the situation space through the lower and upper maps
 gives belief and plausibility; pushing it through the cells gives a mass
-function with Bel(A) = sum of masses of subsets of A.  Everything is computed
-in exact rationals; nothing here has a tolerance.
+function with Bel(A) = sum of masses of subsets of A.  Everything is exact:
+the bridge works on integer numerators over one common denominator, and
+``Fraction`` appears only in the reports, the mass function and rendering.
+Nothing here has a tolerance.
 """
 
 from __future__ import annotations
@@ -36,6 +38,31 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
+def _common_denominator(*tables) -> int:
+    """Least common denominator of every value in the tables."""
+    return lcm(*{v.denominator for table in tables for v in table})
+
+
+def _scale(values, den: int) -> list[int]:
+    """Each value times ``den``, which its denominator must divide."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _subset_sums(mass: "MassFunction") -> tuple[list[int], int]:
+    """Σ m(B) over B ⊆ A for every A, as integers over the masses' common
+    denominator D (returned with the table): one sum-zeta transform."""
+    den = _common_denominator(v for _, v in mass.masses)
+    z = [0] * (1 << mass.frame.m)
+    for b, value in mass.masses:
+        z[b] = value.numerator * (den // value.denominator)
+    size = len(z)
+    bit = 1
+    while bit < size:
+        z = [v + z[a ^ bit] if a & bit else v for a, v in enumerate(z)]
+        bit <<= 1
+    return z, den
+
+
 def parse_rational(value) -> Fraction:
     """Accept 'p/q' in lowest-terms-or-not, or a plain integer."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -52,7 +79,12 @@ def render_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class ProbabilityAssignment:
-    """Exact probability weights, one per situation, summing to 1."""
+    """Exact probability weights, one per situation, summing to 1.
+
+    Validation also records the weights as integer ``numerators`` over their
+    least common ``denominator`` D, and ``_scaled_of(mask)`` gives P(mask)·D
+    as an integer, without the mask check of ``of``.
+    """
 
     space: SituationSpace
     weights: tuple[Fraction, ...]
@@ -62,15 +94,37 @@ class ProbabilityAssignment:
             object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.weights) != self.space.n:
             raise ValidationError("need exactly one weight per situation")
-        total = Fraction(0)
         for name, w in zip(self.space.names, self.weights):
             if not isinstance(w, Fraction):
                 raise ValidationError(f"weight of {name} is not a rational")
             if w < 0:
                 raise ValidationError(f"weight of {name} is negative")
-            total += w
-        if total != 1:
-            raise ValidationError(f"weights sum to {total}, not 1")
+        den = _common_denominator(self.weights)
+        nums = tuple(_scale(self.weights, den))
+        if sum(nums) != den:
+            raise ValidationError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
+        # P(S)·D for a situation mask S is the sum of one lookup per chunk of
+        # eight situations
+        tables = []
+        for k in range(0, len(nums), 8):
+            table = [0]
+            for w in nums[k : k + 8]:
+                table += [v + w for v in table]
+            tables.append(table)
+        if len(tables) == 1:
+            scaled = tables[0].__getitem__
+        else:
+
+            def scaled(mask: int) -> int:
+                total = 0
+                for table in tables:
+                    total += table[mask & 0xFF]
+                    mask >>= 8
+                return total
+
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "_scaled_of", scaled)
 
     @classmethod
     def from_integers(cls, space: SituationSpace, raw: list[int]) -> "ProbabilityAssignment":
@@ -135,40 +189,55 @@ class BeliefReport:
         size = 1 << self.frame.m
         if not (len(self.bel) == len(self.pl) == len(self.alpha) == size):
             raise ValidationError("tables must cover every subset of the frame")
+        # the checks run on numerators over one common denominator
+        den = _common_denominator(self.bel, self.pl, self.alpha)
+        bel = _scale(self.bel, den)
+        pl = _scale(self.pl, den)
+        alpha = _scale(self.alpha, den)
         for mask in range(size):
-            b, p, al = self.bel[mask], self.pl[mask], self.alpha[mask]
-            if not 0 <= b <= p <= 1:
+            b, p = bel[mask], pl[mask]
+            if not 0 <= b <= p <= den:
                 raise ValidationError(
                     f"need 0 ≤ Bel ≤ Pl ≤ 1 at {self.frame.format_subset(mask)}"
                 )
-            if al != p - b:
+            if alpha[mask] != p - b:
                 raise ValidationError(
                     f"α must equal Pl − Bel at {self.frame.format_subset(mask)}"
                 )
-        if self.bel[0] != 0 or self.pl[0] != 0:
+        if bel[0] != 0 or pl[0] != 0:
             raise ValidationError("Bel(∅) and Pl(∅) must be 0")
         full = size - 1
-        if self.bel[full] != 1 or self.pl[full] != 1:
+        if bel[full] != den or pl[full] != den:
             raise ValidationError("Bel(Θ) and Pl(Θ) must be 1")
 
 
 def belief_from_structure(s: IntervalStructure, p: ProbabilityAssignment) -> BeliefReport:
-    """Bel(A) = P(lower(A)), Pl(A) = P(upper(A)), α(A) = P(upper(A) − lower(A))."""
+    """Bel(A) = P(lower(A)), Pl(A) = P(upper(A)), α(A) = P(upper(A) − lower(A)).
+
+    All three are computed as integers over the weights' common denominator;
+    each distinct value becomes a ``Fraction`` once.
+    """
     if s.space != p.space:
         raise SpaceMismatch("structure and probability use different spaces")
+    scaled = p._scaled_of
     bel = []
     pl = []
     alpha = []
     for lo, up in zip(s.lower.table, s.upper.table):
-        b = p.of(lo)
-        u = p.of(up)
-        gap = p.of(up & ~lo)
+        b = scaled(lo)
+        u = scaled(up)
+        gap = scaled(up & ~lo)
         if gap != u - b:
             raise InternalInvariantFailure("gap probability disagrees with Pl − Bel")
         bel.append(b)
         pl.append(u)
         alpha.append(gap)
-    return BeliefReport(s.frame, tuple(bel), tuple(pl), tuple(alpha))
+    den = p.denominator
+    memo = {v: Fraction(v, den) for v in {*bel, *pl, *alpha}}
+    get = memo.__getitem__
+    return BeliefReport(
+        s.frame, tuple(map(get, bel)), tuple(map(get, pl)), tuple(map(get, alpha))
+    )
 
 
 def mass_from_structure(s: IntervalStructure, p: ProbabilityAssignment) -> MassFunction:
@@ -178,9 +247,9 @@ def mass_from_structure(s: IntervalStructure, p: ProbabilityAssignment) -> MassF
     cells = extract_assignment(s)
     masses = {}
     for mask in cells.focal_masks():
-        value = p.of(cells.map.table[mask])
+        value = p._scaled_of(cells.map.table[mask])
         if value > 0:
-            masses[mask] = value
+            masses[mask] = Fraction(value, p.denominator)
     if not masses:
         raise InternalInvariantFailure("a partition of the space lost all its mass")
     return MassFunction.from_dict(s.frame, masses)
@@ -193,35 +262,34 @@ def check_belief_identity(report: BeliefReport, mass: MassFunction) -> AxiomRepo
     fr = report.frame
     size = 1 << fr.m
     full = fr.full
+    bel, pl = report.bel, report.pl
     verdicts = []
-    hit = None
-    for a in range(size):
-        total = Fraction(0)
-        for b, value in mass.masses:
-            if b & ~a == 0:
-                total += value
-        if total != report.bel[a]:
-            hit = (a, total)
-            break
+    z, den = _subset_sums(mass)
+    hit = next(
+        (a for a in range(size) if bel[a].numerator * den != z[a] * bel[a].denominator),
+        None,
+    )
     if hit is None:
         verdicts.append(passed("bel-mass-identity"))
     else:
-        a, total = hit
         detail = (
-            f"A={fr.format_subset(a)}: Bel={report.bel[a]} but the subset masses sum to {total}"
+            f"A={fr.format_subset(hit)}: Bel={bel[hit]} but the subset masses sum to "
+            f"{Fraction(z[hit], den)}"
         )
-        verdicts.append(failed("bel-mass-identity", Witness(subset_a=a, detail=detail)))
+        verdicts.append(failed("bel-mass-identity", Witness(subset_a=hit, detail=detail)))
+    # Pl(A) = 1 − Bel(¬A) cross-multiplied: pl·bd = (bd − bn)·pd
     hit = None
     for a in range(size):
-        if report.pl[a] != 1 - report.bel[full ^ a]:
+        p, b = pl[a], bel[full ^ a]
+        if p.numerator * b.denominator != (b.denominator - b.numerator) * p.denominator:
             hit = a
             break
     if hit is None:
         verdicts.append(passed("pl-complement"))
     else:
         detail = (
-            f"A={fr.format_subset(hit)}: Pl={report.pl[hit]} but "
-            f"1 − Bel(¬A) = {1 - report.bel[full ^ hit]}"
+            f"A={fr.format_subset(hit)}: Pl={pl[hit]} but "
+            f"1 − Bel(¬A) = {1 - bel[full ^ hit]}"
         )
         verdicts.append(failed("pl-complement", Witness(subset_a=hit, detail=detail)))
     return AxiomReport(tuple(verdicts))
@@ -234,13 +302,20 @@ def structure_from_mass(
 
     One situation per focal subset, named after it, carrying its mass; each
     cell is the matching singleton.  The reported beliefs then match the
-    subset-mass sums exactly.
+    subset-mass sums exactly.  A mass function with more focal subsets than
+    the default situation cap is refused, so every model it writes loads back.
     """
     focals = mass.focal_masks()
     if not focals:
         raise EmptyMass("mass function has no focal elements")
+    cap = SituationSpace.DEFAULT_CAP
+    if len(focals) > cap:
+        raise ValidationError(
+            f"mass function has {len(focals)} focal elements; its canonical model "
+            f"needs one situation each, and the cap is {cap}"
+        )
     names = tuple("w_" + mass.frame.subset_key(mask) for mask in focals)
-    space = SituationSpace(names, cap=max(SituationSpace.DEFAULT_CAP, len(names)))
+    space = SituationSpace(names)
     weights = tuple(value for _, value in mass.masses)
     prob = ProbabilityAssignment(space, weights)
     size = 1 << mass.frame.m
@@ -250,10 +325,9 @@ def structure_from_mass(
     j = BasicAssignment(SetValuedMap(mass.frame, space, tuple(cells)))
     s = structure_from_assignment(j)
     report = belief_from_structure(s, prob)
-    lookup = mass.as_dict()
-    for a in range(size):
-        expected = sum((v for b, v in lookup.items() if b & ~a == 0), Fraction(0))
-        if report.bel[a] != expected:
+    z, den = _subset_sums(mass)
+    for b, expected in zip(report.bel, z):
+        if b.numerator * den != expected * b.denominator:
             raise InternalInvariantFailure("canonical model does not reproduce the masses")
     return space, prob, j, s
 
@@ -265,14 +339,16 @@ def fishburn_report(report: BeliefReport, policy: SweepPolicy | None = None) -> 
     size = 1 << fr.m
     full = fr.full
     alpha = report.alpha
+    # scale to a common denominator once so every test runs on integers
+    scaled = _scale(alpha, _common_denominator(alpha))
     verdicts = []
 
     hit = None
-    if alpha[0] != 0:
+    if scaled[0] != 0:
         hit = (0, f"α(∅) = {alpha[0]}")
     else:
         for a in range(size):
-            if alpha[a] < 0:
+            if scaled[a] < 0:
                 hit = (a, f"α = {alpha[a]} < 0")
                 break
     if hit is None:
@@ -285,7 +361,7 @@ def fishburn_report(report: BeliefReport, policy: SweepPolicy | None = None) -> 
 
     hit = None
     for a in range(size):
-        if alpha[a] != alpha[full ^ a]:
+        if scaled[a] != scaled[full ^ a]:
             hit = a
             break
     if hit is None:
@@ -296,9 +372,6 @@ def fishburn_report(report: BeliefReport, policy: SweepPolicy | None = None) -> 
         )
         verdicts.append(failed("α2", Witness(subset_a=hit, detail=detail)))
 
-    # scale to a common denominator once so the pair tests run on integers
-    den = lcm(*(v.denominator for v in alpha)) if size else 1
-    scaled = [v.numerator * (den // v.denominator) for v in alpha]
     hit = submodular_failure(scaled)
     if hit is not None:
         hit = first_submodular_violation(scaled, size, pair_samples(fr.m, policy)) or hit
@@ -313,7 +386,7 @@ def fishburn_report(report: BeliefReport, policy: SweepPolicy | None = None) -> 
         )
         verdicts.append(failed("α3", Witness(subset_a=a, subset_b=b, detail=detail)))
 
-    if alpha[full] == 0:
+    if scaled[full] == 0:
         verdicts.append(passed("α(Θ)=0"))
     else:
         verdicts.append(

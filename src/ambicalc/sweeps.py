@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cache, partial
 
 
 def derive_seed(*parts) -> int:
@@ -70,7 +69,14 @@ def pair_samples(m: int, policy: SweepPolicy | None) -> list[tuple[int, int]] | 
 def lazy_pair_samples(m: int, policy: SweepPolicy | None):
     """``pair_samples(m, policy)`` as a call that builds the list on first use
     and returns the same list after that."""
-    return cache(partial(pair_samples, m, policy))
+    built = []
+
+    def pairs():
+        if not built:
+            built.append(pair_samples(m, policy))
+        return built[0]
+
+    return pairs
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:

@@ -250,6 +250,34 @@ def test_from_mass_combined():
     assert data["interval"]["kind"] == "interval"
 
 
+def _mass_doc(path, focal_count):
+    atoms = [f"x{k}" for k in range(7)]
+    body = {
+        ",".join(a for k, a in enumerate(atoms) if mask >> k & 1): f"1/{focal_count}"
+        for mask in range(1, focal_count + 1)
+    }
+    path.write_text(json.dumps({"kind": "mass", "atoms": atoms, "body": body}), encoding="utf-8")
+    return str(path)
+
+
+def test_from_mass_over_the_situation_cap_is_exit_1(tmp_path):
+    # the canonical model needs one situation per focal subset; above the
+    # cap its documents would not load back
+    code, text = run_command(["from-mass", _mass_doc(tmp_path / "m70.json", 70)])
+    assert code == 1
+    assert text.startswith("error: mass function has 70 focal elements")
+    assert "the cap is 64" in text
+
+
+def test_from_mass_at_the_situation_cap_loads_back(tmp_path):
+    code, text = run_command(["from-mass", _mass_doc(tmp_path / "m64.json", 64)])
+    assert code == 0
+    for kind in ("probability", "assignment", "interval"):
+        doc = tmp_path / f"{kind}.json"
+        doc.write_text(json.dumps(json.loads(text)[kind]), encoding="utf-8")
+        assert run_command(["check", str(doc)])[0] == 0
+
+
 def test_fishburn_output():
     code, text = run_command(
         ["fishburn", fx("fix1_interval.json"), fx("fix1_probability.json")]

@@ -1,0 +1,64 @@
+"""The subset transforms and the exact bridge on large frames.
+
+Seeded m ∈ {12, 16}, n = 64 instances go through the whole pipeline:
+build, the extract round trip, Bel/Pl/α, the mass function and the
+Bel = Σ m identity.  The oracle is out of reach at these sizes, so sampled
+values are checked against the per-mask Fraction sums instead.
+"""
+
+import random
+
+import pytest
+
+import ambicalc.interval as interval
+from ambicalc import (
+    InternalInvariantFailure,
+    belief_from_structure,
+    check_belief_identity,
+    extract_assignment,
+    mass_from_structure,
+    structure_from_assignment,
+)
+from ambicalc.harness import GenConfig, gen_assignment, gen_probability
+
+
+@pytest.mark.parametrize("m, seed", [(12, 31), (16, 32)])
+def test_pipeline_on_large_frames(m, seed):
+    cfg = GenConfig(m=m, n=64, seed=seed)
+    j = gen_assignment(cfg)
+    p = gen_probability(cfg)
+    s = structure_from_assignment(j)
+    assert extract_assignment(s) == j
+    rep = belief_from_structure(s, p)
+    full = j.frame.full
+    assert rep.bel[full] == rep.pl[full] == 1
+    assert rep.bel[0] == rep.pl[0] == 0
+    rng = random.Random(seed)
+    for a in [full, *(rng.randrange(full) for _ in range(100))]:
+        lo, up = s.lower.table[a], s.upper.table[a]
+        assert rep.bel[a] == p.of(lo)
+        assert rep.pl[a] == p.of(up)
+        assert rep.alpha[a] == p.of(up & ~lo)
+    mass = mass_from_structure(s, p)
+    # every generated weight is positive, so every cell carries mass
+    assert mass.focal_masks() == j.focal_masks()
+    assert check_belief_identity(rep, mass).ok
+
+
+@pytest.mark.parametrize("m, seed", [(12, 41), (16, 42)])
+def test_overlap_cross_check_covers_every_subset(m, seed, monkeypatch):
+    j = gen_assignment(GenConfig(m=m, n=64, seed=seed))
+    # a subset that is neither a singleton, a co-singleton, ∅ nor Θ
+    target = int("01" * (m // 2), 2)
+    dual = interval.dual_map
+
+    def corrupted(lower):
+        upper = dual(lower)
+        table = list(upper.table)
+        table[target] ^= 1
+        return interval.SetValuedMap(upper.frame, upper.space, tuple(table))
+
+    monkeypatch.setattr(interval, "dual_map", corrupted)
+    with pytest.raises(InternalInvariantFailure, match="overlap formula") as info:
+        structure_from_assignment(j)
+    assert str(info.value).endswith(j.frame.format_subset(target))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from ambicalc import (
     mass_from_structure,
     parse_rational,
     render_rational,
+    structure_from_assignment,
     structure_from_mass,
 )
+from ambicalc.harness import GenConfig, gen_assignment, gen_probability
 
 THIRD = Fraction(1, 3)
 
@@ -168,3 +171,87 @@ def test_fishburn_symmetry_violation():
     out = fishburn_report(BeliefReport(fr, bel, pl, alpha))
     assert not out.find("α2").ok
     assert out.find("α2").witness.subset_a == 1
+
+
+def _naive_identity_verdicts(report, mass):
+    """check_belief_identity's failures by per-subset Fraction sums."""
+    fr = report.frame
+    full = fr.full
+    out = {}
+    for a in range(1 << fr.m):
+        total = sum((v for b, v in mass.masses if b & ~a == 0), Fraction(0))
+        if total != report.bel[a]:
+            out["bel-mass-identity"] = (
+                a,
+                f"A={fr.format_subset(a)}: Bel={report.bel[a]} but the subset masses sum to {total}",
+            )
+            break
+    for a in range(1 << fr.m):
+        if report.pl[a] != 1 - report.bel[full ^ a]:
+            out["pl-complement"] = (
+                a,
+                f"A={fr.format_subset(a)}: Pl={report.pl[a]} but "
+                f"1 − Bel(¬A) = {1 - report.bel[full ^ a]}",
+            )
+            break
+    return out
+
+
+def test_perturbed_report_fails_where_the_fraction_sums_fail():
+    rng = random.Random(7)
+    perturbed = 0
+    for m, n in [(2, 3), (3, 5), (4, 8), (5, 10), (5, 3)] * 6:
+        cfg = GenConfig(m=m, n=n, seed=rng.randrange(1 << 30))
+        s = structure_from_assignment(gen_assignment(cfg))
+        p = gen_probability(cfg)
+        rep = belief_from_structure(s, p)
+        mass = mass_from_structure(s, p)
+        assert check_belief_identity(rep, mass).ok
+        assert _naive_identity_verdicts(rep, mass) == {}
+        gaps = [a for a in range(1 << m) if rep.alpha[a]]
+        if not gaps:
+            continue
+        # move Bel(A) halfway up to Pl(A): still a valid report, but no
+        # longer the subset-mass sum
+        a = rng.choice(gaps)
+        eps = rep.alpha[a] / 2
+        bel, alpha = list(rep.bel), list(rep.alpha)
+        bel[a] += eps
+        alpha[a] -= eps
+        bad = BeliefReport(rep.frame, tuple(bel), rep.pl, tuple(alpha))
+        out = check_belief_identity(bad, mass)
+        naive = _naive_identity_verdicts(bad, mass)
+        assert set(naive) == {"bel-mass-identity", "pl-complement"}
+        assert [v.axiom for v in out.verdicts if not v.ok] == list(naive)
+        for axiom, (subset, detail) in naive.items():
+            w = out.find(axiom).witness
+            assert (w.subset_a, w.detail) == (subset, detail)
+        assert naive["bel-mass-identity"][0] == a
+        perturbed += 1
+    assert perturbed >= 20
+
+
+def test_from_mass_refuses_more_focal_elements_than_the_situation_cap():
+    fr = Frame(tuple(f"x{k}" for k in range(7)))
+    mass = MassFunction.from_dict(fr, {mask: Fraction(1, 70) for mask in range(1, 71)})
+    with pytest.raises(ValidationError, match="70 focal elements.*cap is 64"):
+        structure_from_mass(mass)
+    at_cap = MassFunction.from_dict(fr, {mask: Fraction(1, 64) for mask in range(1, 65)})
+    space, prob, _, s = structure_from_mass(at_cap)
+    assert space.n == space.cap == 64
+    assert check_belief_identity(belief_from_structure(s, prob), at_cap).ok
+
+
+def test_probability_keeps_integer_numerators_over_one_denominator():
+    sp = SituationSpace(("w1", "w2", "w3"))
+    p = ProbabilityAssignment(sp, (Fraction(1, 6), Fraction(0), Fraction(5, 6)))
+    assert p.denominator == 6
+    assert p.numerators == (1, 0, 5)
+    for mask in range(8):
+        assert Fraction(p._scaled_of(mask), p.denominator) == p.of(mask)
+    # more than eight situations: one lookup table per chunk of eight
+    rng = random.Random(3)
+    wide = SituationSpace(tuple(f"w{k}" for k in range(20)))
+    p = ProbabilityAssignment.from_integers(wide, [rng.randint(0, 9) for _ in range(19)] + [1])
+    for mask in [0, wide.full, *(rng.randrange(1 << 20) for _ in range(200))]:
+        assert Fraction(p._scaled_of(mask), p.denominator) == p.of(mask)

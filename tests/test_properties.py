@@ -31,6 +31,7 @@ from ambicalc import (
     extract_assignment,
     fishburn_report,
     incidence_from_pointmap,
+    lower_table_from_cells,
     mass_from_structure,
     oracle_ambiguity_table,
     oracle_extract_table,
@@ -216,3 +217,29 @@ def test_mass_weights_are_cell_probabilities(j):
     mass = mass_from_structure(s, p)
     for mask, value in mass.masses:
         assert value == Fraction(j.map.table[mask].bit_count(), n)
+
+
+@given(st.data())
+def test_integer_bridge_matches_the_per_mask_fraction_sums(data):
+    j = data.draw(assignments(max_m=6, max_n=10))
+    s = structure_from_assignment(j)
+    # weights_for draws zeros too; only the last weight is kept positive
+    p = ProbabilityAssignment.from_integers(j.space, data.draw(weights_for(j.space.n)))
+    rep = belief_from_structure(s, p)
+    for a in range(1 << j.frame.m):
+        lo, up = s.lower.table[a], s.upper.table[a]
+        assert rep.bel[a] == p.of(lo)
+        assert rep.pl[a] == p.of(up)
+        assert rep.alpha[a] == p.of(up & ~lo)
+    cells = extract_assignment(s).map.table
+    for mask, value in mass_from_structure(s, p).masses:
+        assert value == p.of(cells[mask])
+
+
+@given(assignments(max_m=6, max_n=10))
+def test_subset_transforms_match_the_oracle(j):
+    lower = lower_table_from_cells(j.map.table)
+    assert lower == oracle_lower_table(j)
+    assert dual_map(SetValuedMap(j.frame, j.space, lower)).table == oracle_upper_table(j)
+    s = structure_from_assignment(j)
+    assert extract_assignment(s).map.table == oracle_extract_table(s) == j.map.table
