@@ -8,6 +8,7 @@ files, malformed documents).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -59,7 +60,10 @@ def _policy(args) -> SweepPolicy:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _axiom_report(obj, policy):
@@ -124,6 +128,8 @@ def _parse_selector(arg: str | None, frame: Frame) -> Selector:
             raw = json.loads(_read(arg[1:]))
         except json.JSONDecodeError as exc:
             raise ParseError(f"selector table: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+        except RecursionError:
+            raise ParseError("selector table: nests too deeply") from None
         if not isinstance(raw, dict):
             raise SchemaError("a selector table must be a JSON object")
         mapping = {}
@@ -324,7 +330,13 @@ def _cmd_fuzz(args):
     return (0 if report.ok else 1), _deliver(text, args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after that.
+
+    No action has a mutable default, so parsing leaves the parser unchanged
+    and one instance serves every ``run_command`` call.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--validate", action="store_true", help="check axioms while loading")
     common.add_argument("--exhaustive", action="store_true", help="force exhaustive pair sweeps")

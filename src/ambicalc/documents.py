@@ -48,6 +48,8 @@ def parse_document(text: str) -> dict:
         raise
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     if not isinstance(raw, dict):
         raise SchemaError("document must be a JSON object")
     kind = raw.get("kind")
@@ -90,13 +92,13 @@ def _parse_subset_key(frame: Frame, key: str) -> int:
         raise SchemaError(f"subset key must be a string, got {key!r}")
     if key == "":
         return 0
+    index = frame._index
     mask = 0
     last = -1
     for name in key.split(","):
-        try:
-            idx = frame.index_of(name)
-        except UnknownElement as exc:
-            raise SchemaError(str(exc)) from exc
+        idx = index.get(name)
+        if idx is None:
+            raise SchemaError(f"unknown element {name!r}")
         if idx <= last:
             raise ParseError(f"subset key {key!r} is not in canonical atom order")
         last = idx

@@ -34,11 +34,12 @@ def _checked_names(names: Iterable[str], label: str, cap: int) -> tuple[str, ...
 class _Universe:
     """Common bitmask machinery for frames and situation spaces."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_bit")
 
     def __init__(self, names: tuple[str, ...]):
         self.names = names
         self._index = {name: k for k, name in enumerate(names)}
+        self._bit = {name: 1 << k for k, name in enumerate(names)}
 
     @property
     def size(self) -> int:
@@ -56,11 +57,25 @@ class _Universe:
 
     def encode(self, names: Iterable[str]) -> int:
         """Mask for a collection of element names; duplicates are rejected."""
+        if not isinstance(names, (list, tuple)):
+            names = tuple(names)
+        try:
+            # distinct bits sum to their OR; a repeated one carries, so the
+            # popcount falls short of the number of names
+            mask = sum(map(self._bit.__getitem__, names))
+            if mask.bit_count() == len(names):
+                return mask
+        except (KeyError, TypeError):
+            pass
+        return self._encode_walk(names)
+
+    def _encode_walk(self, names) -> int:
+        """``encode`` one name at a time; raises for the first bad name."""
         mask = 0
         for name in names:
             try:
-                bit = 1 << self._index[name]
-            except KeyError:
+                bit = self._bit[name]
+            except (KeyError, TypeError):
                 raise UnknownElement(f"unknown element {name!r}") from None
             if mask & bit:
                 raise DuplicateElement(f"element {name!r} listed twice")

@@ -14,7 +14,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from math import comb, exp
+from math import comb, exp, isfinite
 
 from .ambiguity import ambiguity_from_interval, check_ambiguity_axioms
 from .errors import AmbicalcError, InternalInvariantFailure
@@ -87,6 +87,18 @@ class GenConfig:
             raise ValueError("need at least one trial")
         if self.seeded_selectors < 0:
             raise ValueError("seeded selector count cannot be negative")
+        if self.focal_bias is not None:
+            try:
+                total = sum(_size_weights(self.m, self.focal_bias))
+            except OverflowError:
+                total = float("inf")
+            # fuzz trials draw m' <= m, whose weights are no larger and keep
+            # the k = 1 term, so a bias usable at m is usable at every m'
+            if not (isfinite(total) and total > 0):
+                raise ValueError(
+                    f"focal bias {self.focal_bias!r} gives no finite positive"
+                    f" size weights at {self.m} atoms"
+                )
 
 
 def universes_for(cfg: GenConfig) -> tuple[Frame, SituationSpace]:
@@ -95,12 +107,16 @@ def universes_for(cfg: GenConfig) -> tuple[Frame, SituationSpace]:
     return frame, space
 
 
+def _size_weights(m: int, bias: float) -> list[float]:
+    """Weights of focal sizes 1..m: comb(m, k) * exp(bias * k); a positive
+    bias favors big focal elements."""
+    return [comb(m, k) * exp(bias * k) for k in range(1, m + 1)]
+
+
 def _draw_focal(rng: random.Random, m: int, bias: float | None) -> int:
     if bias is None:
         return rng.randrange(1, 1 << m)
-    # weight subset sizes by exp(bias * k); positive favors big focal elements
-    weights = [comb(m, k) * exp(bias * k) for k in range(1, m + 1)]
-    k = rng.choices(range(1, m + 1), weights=weights)[0]
+    k = rng.choices(range(1, m + 1), weights=_size_weights(m, bias))[0]
     mask = 0
     for idx in rng.sample(range(m), k):
         mask |= 1 << idx

@@ -52,8 +52,12 @@ class SetValuedMap:
             raise ValueError(
                 f"table has {len(self.table)} entries, need {1 << self.frame.m}"
             )
+        t = self.table
         omega = self.space.full
-        for mask, entry in enumerate(self.table):
+        if set(map(type, t)) == {int} and min(t) >= 0 and max(t) <= omega:
+            return
+        # the walk names the first bad entry; it also accepts int subclasses
+        for mask, entry in enumerate(t):
             if not isinstance(entry, int) or entry < 0 or entry > omega:
                 raise MaskOutOfRange(
                     f"entry for {self.frame.format_subset(mask)} is not a situation mask"

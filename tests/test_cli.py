@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ambicalc.cli import run_command
+from ambicalc.cli import build_parser, run_command
 from ambicalc.documents import loads
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -312,3 +312,56 @@ def test_fuzz_fault_mode_cli():
     assert code == 0
     assert "mode: fault-injection" in text
     assert "fault-detected: pass=6 fail=0" in text
+
+
+@pytest.mark.parametrize("command", ["check", "build", "oracle"])
+def test_non_string_image_member_is_exit_2(tmp_path, command):
+    doc = tmp_path / "member.json"
+    doc.write_text(
+        json.dumps(
+            {"kind": "assignment", "atoms": ["x"], "situations": ["w1"], "body": {"x": [["w1"]]}}
+        ),
+        encoding="utf-8",
+    )
+    assert run_command([command, str(doc)]) == (2, "error: unknown element ['w1']")
+
+
+@pytest.mark.parametrize("command", ["check", "build", "oracle"])
+def test_non_utf8_document_is_exit_2(tmp_path, command):
+    data = FIXTURES.joinpath("fix1_assignment.json").read_bytes().replace(b'"w1"', b'"w\xe91"')
+    doc = tmp_path / "latin1.json"
+    doc.write_bytes(data)
+    at = data.index(b"\xe9")
+    message = f"error: {doc}: not valid UTF-8 (invalid continuation byte at byte {at})"
+    assert run_command([command, str(doc)]) == (2, message)
+
+
+def test_non_utf8_selector_table_is_exit_2(tmp_path):
+    table = tmp_path / "sel.json"
+    table.write_bytes(b'{"x": "\xff"}')
+    code, text = run_command(["incidence", fx("fix1_assignment.json"), "--selector", f"@{table}"])
+    assert (code, text) == (2, f"error: {table}: not valid UTF-8 (invalid start byte at byte 7)")
+
+
+def test_deeply_nested_json_is_exit_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert run_command(["check", str(deep)]) == (2, "error: document nests too deeply")
+    code, text = run_command(["incidence", fx("fix1_assignment.json"), "--selector", f"@{deep}"])
+    assert (code, text) == (2, "error: selector table: nests too deeply")
+
+
+@pytest.mark.parametrize("bias", ["nan", "inf", "1e308", "-1e308"])
+def test_fuzz_unusable_focal_bias_is_exit_2(bias):
+    code, text = run_command(["fuzz", "--trials", "1", f"--focal-bias={bias}"])
+    assert code == 2
+    assert text.startswith("error: focal bias ")
+
+
+def test_parser_is_built_once_and_reused():
+    assert build_parser() is build_parser()
+    argv = ["check", fx("fix1_interval.json"), "--format", "json"]
+    alone = run_command(argv)
+    assert run_command(["check", fx("fix1_interval.json"), "--format", "yaml"])[0] == 2
+    assert run_command(["incidence", fx("fix1_assignment.json"), "--selector", "bogus"])[0] == 2
+    assert run_command(argv) == alone

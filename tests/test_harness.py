@@ -29,6 +29,20 @@ def test_genconfig_validation():
             GenConfig(**kwargs)
 
 
+@pytest.mark.parametrize("bias", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
+def test_genconfig_rejects_unusable_focal_bias(bias):
+    with pytest.raises(ValueError, match="focal bias"):
+        GenConfig(m=5, n=4, focal_bias=bias)
+
+
+def test_focal_bias_is_judged_at_the_atom_count():
+    # exp(700 * k) overflows from k = 2 on, exp(-700 * k) stays positive at k = 1
+    with pytest.raises(ValueError, match="at 5 atoms"):
+        GenConfig(m=5, n=4, focal_bias=700.0)
+    assert gen_assignment(GenConfig(m=1, n=4, focal_bias=700.0)).focal_masks() == (1,)
+    assert check_assignment(gen_assignment(GenConfig(m=16, n=8, focal_bias=-700.0)).map).ok
+
+
 def test_gen_assignment_deterministic_and_valid():
     cfg = GenConfig(m=3, n=6, seed=11)
     a = gen_assignment(cfg)

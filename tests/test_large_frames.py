@@ -1,9 +1,10 @@
 """The subset transforms and the exact bridge on large frames.
 
-Seeded m ∈ {12, 16}, n = 64 instances go through the whole pipeline:
+Seeded m ∈ {9, 12, 16}, n = 64 instances go through the whole pipeline:
 build, the extract round trip, Bel/Pl/α, the mass function and the
 Bel = Σ m identity.  The oracle is out of reach at these sizes, so sampled
-values are checked against the per-mask Fraction sums instead.
+values are checked against the per-mask Fraction sums instead.  The
+documents of an m = 12 pipeline load back to the bytes they were written as.
 """
 
 import random
@@ -13,16 +14,18 @@ import pytest
 import ambicalc.interval as interval
 from ambicalc import (
     InternalInvariantFailure,
+    ambiguity_from_interval,
     belief_from_structure,
     check_belief_identity,
     extract_assignment,
     mass_from_structure,
     structure_from_assignment,
 )
+from ambicalc.documents import dumps, loads
 from ambicalc.harness import GenConfig, gen_assignment, gen_probability
 
 
-@pytest.mark.parametrize("m, seed", [(12, 31), (16, 32)])
+@pytest.mark.parametrize("m, seed", [(9, 30), (12, 31), (16, 32)])
 def test_pipeline_on_large_frames(m, seed):
     cfg = GenConfig(m=m, n=64, seed=seed)
     j = gen_assignment(cfg)
@@ -62,3 +65,13 @@ def test_overlap_cross_check_covers_every_subset(m, seed, monkeypatch):
     with pytest.raises(InternalInvariantFailure, match="overlap formula") as info:
         structure_from_assignment(j)
     assert str(info.value).endswith(j.frame.format_subset(target))
+
+
+def test_documents_round_trip_at_twelve_atoms():
+    j = gen_assignment(GenConfig(m=12, n=64, seed=33))
+    s = structure_from_assignment(j)
+    docs = (("assignment", j), ("interval", s), ("ambiguity", ambiguity_from_interval(s)))
+    for kind, obj in docs:
+        text = dumps(obj)
+        assert loads(text) == (kind, obj)
+        assert dumps(loads(text)[1]) == text
