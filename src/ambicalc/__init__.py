@@ -91,6 +91,6 @@ from .oracle import (
     oracle_verify,
 )
 from .reports import AxiomReport, Verdict, Witness
-from .sweeps import DEFAULT_POLICY, SweepPolicy, derive_seed
+from .sweeps import derive_seed
 
 __version__ = "0.1.0"

@@ -9,16 +9,18 @@ one such measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, or_
 
 from .errors import InternalInvariantFailure
 from .frames import Frame, SituationSpace
 from .interval import IntervalStructure, SetValuedMap
 from .reports import AxiomReport, Witness, failed, passed
 from .sweeps import (
-    SweepPolicy,
     first_mixed_inter_violation,
     first_mixed_union_violation,
-    lazy_pair_samples,
+    mixed_inter_failure,
+    mixed_union_failure,
+    smallest_witness,
     split_form_holds,
 )
 
@@ -36,13 +38,12 @@ class AmbiguityMap:
         return self.map.space
 
 
-def check_ambiguity_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -> AxiomReport:
+def check_ambiguity_axioms(m: SetValuedMap) -> AxiomReport:
     """Axioms a1 (empty at ∅), a2 (complement symmetry), a3.1/a3.2 (the two
     mixed bounds), plus the derived a4 (empty at Θ).
 
-    The split form decides a1–a3.2 jointly; only when it fails are the mixed
-    bounds scanned.  Past the exhaustive limit that scan is sampled, so a3.1
-    and a3.2 can then pass on a map whose split form fails.
+    The split form passes a1–a3.2 jointly; only when it fails do the mixed
+    bounds get their own exact tests.
     """
     t = m.table
     size = len(t)
@@ -73,30 +74,21 @@ def check_ambiguity_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -
         verdicts.append(failed("a2", Witness(subset_a=hit, detail=detail)))
 
     split = split_form_holds(t)
-    pairs = lazy_pair_samples(fr.m, policy)
-    pair_hit = None if split else first_mixed_union_violation(t, size, pairs())
-    if pair_hit is None:
-        verdicts.append(passed("a3.1"))
-    else:
+    for axiom, test, scan, op, sign in (
+        ("a3.1", mixed_union_failure, first_mixed_union_violation, or_, "∪"),
+        ("a3.2", mixed_inter_failure, first_mixed_inter_violation, and_, "∩"),
+    ):
+        pair_hit = None if split else smallest_witness(test(t), scan, t)
+        if pair_hit is None:
+            verdicts.append(passed(axiom))
+            continue
         a, b = pair_hit
         detail = (
             f"A={fr.format_subset(a)}, B={fr.format_subset(b)}: "
-            f"a(A∩B)∪a(A∪B)={sp.format_subset(t[a & b] | t[a | b])} "
-            f"⊄ a(A)∪a(B)={sp.format_subset(t[a] | t[b])}"
+            f"a(A∩B){sign}a(A∪B)={sp.format_subset(op(t[a & b], t[a | b]))} "
+            f"⊄ a(A){sign}a(B)={sp.format_subset(op(t[a], t[b]))}"
         )
-        verdicts.append(failed("a3.1", Witness(subset_a=a, subset_b=b, detail=detail)))
-
-    pair_hit = None if split else first_mixed_inter_violation(t, size, pairs())
-    if pair_hit is None:
-        verdicts.append(passed("a3.2"))
-    else:
-        a, b = pair_hit
-        detail = (
-            f"A={fr.format_subset(a)}, B={fr.format_subset(b)}: "
-            f"a(A∩B)∩a(A∪B)={sp.format_subset(t[a & b] & t[a | b])} "
-            f"⊄ a(A)∩a(B)={sp.format_subset(t[a] & t[b])}"
-        )
-        verdicts.append(failed("a3.2", Witness(subset_a=a, subset_b=b, detail=detail)))
+        verdicts.append(failed(axiom, Witness(subset_a=a, subset_b=b, detail=detail)))
 
     if t[full] == 0:
         verdicts.append(passed("a4"))

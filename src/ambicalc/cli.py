@@ -48,15 +48,6 @@ from .numeric import (
 )
 from .oracle import oracle_verify
 from .reports import AxiomReport, failed, passed
-from .sweeps import SweepPolicy
-
-
-def _policy(args) -> SweepPolicy:
-    return SweepPolicy(
-        samples=args.sample,
-        seed=args.seed,
-        force_exhaustive=args.exhaustive,
-    )
 
 
 def _read(path: str) -> str:
@@ -66,22 +57,22 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _axiom_report(obj, policy):
+def _axiom_report(obj):
     if isinstance(obj, BasicAssignment):
-        return check_assignment(obj.map, policy)
+        return check_assignment(obj.map)
     if isinstance(obj, IntervalStructure):
-        return check_structure(obj.lower, obj.upper, policy)
+        return check_structure(obj.lower, obj.upper)
     if isinstance(obj, AmbiguityMap):
-        return check_ambiguity_axioms(obj.map, policy)
+        return check_ambiguity_axioms(obj.map)
     if isinstance(obj, IncidenceMap):
-        return check_incidence_axioms(obj.map, policy)
+        return check_incidence_axioms(obj.map)
     return None
 
 
 def _load(path: str, args=None):
     kind, obj = loads(_read(path))
     if args is not None and args.validate:
-        report = _axiom_report(obj, _policy(args))
+        report = _axiom_report(obj)
         if report is not None and not report.ok:
             raise ValidationError(
                 f"{path}: axioms violated: {', '.join(report.failed_axioms())}",
@@ -90,10 +81,10 @@ def _load(path: str, args=None):
     return kind, obj
 
 
-def _validated_structure(obj, policy) -> IntervalStructure:
+def _validated_structure(obj) -> IntervalStructure:
     if not isinstance(obj, IntervalStructure):
         raise SchemaError("expected an interval document")
-    return make_interval_structure(obj.lower, obj.upper, policy)
+    return make_interval_structure(obj.lower, obj.upper)
 
 
 def _expect(obj, cls, kind: str):
@@ -148,8 +139,7 @@ def _simple_report(pairs) -> AxiomReport:
 def _cmd_check(args):
     # reporting violations is the command's job, so skip the --validate pre-pass
     _, obj = _load(args.file)
-    policy = _policy(args)
-    report = _axiom_report(obj, policy)
+    report = _axiom_report(obj)
     if report is None and isinstance(obj, ProbabilityAssignment):
         report = _simple_report(
             [
@@ -179,20 +169,20 @@ def _cmd_oracle(args):
 
 def _cmd_extract(args):
     _, obj = _load(args.file, args)
-    s = _validated_structure(obj, _policy(args))
+    s = _validated_structure(obj)
     return 0, _deliver(dumps(extract_assignment(s)), args)
 
 
 def _cmd_build(args):
     _, obj = _load(args.file, args)
     j = _expect(obj, BasicAssignment, "assignment")
-    s = structure_from_assignment(j, _policy(args))
+    s = structure_from_assignment(j)
     return 0, _deliver(dumps(s), args)
 
 
 def _cmd_ambiguity(args):
     _, obj = _load(args.file, args)
-    s = _validated_structure(obj, _policy(args))
+    s = _validated_structure(obj)
     return 0, _deliver(dumps(ambiguity_from_interval(s)), args)
 
 
@@ -205,7 +195,7 @@ def _cmd_incidence(args):
 
 def _cmd_decompose(args):
     _, obj = _load(args.file, args)
-    s = _validated_structure(obj, _policy(args))
+    s = _validated_structure(obj)
     sel = _parse_selector(args.selector, s.lower.frame)
     inc, amb = decompose_interval(s, sel)
     wrote = False
@@ -226,13 +216,13 @@ def _cmd_compose(args):
     _, amb = _load(args.ambiguity_file, args)
     inc = _expect(inc, IncidenceMap, "incidence")
     amb = _expect(amb, AmbiguityMap, "ambiguity")
-    s = compose_interval(inc, amb, _policy(args))
+    s = compose_interval(inc, amb)
     return 0, _deliver(dumps(s), args)
 
 
 def _load_pair(args):
     _, obj = _load(args.interval_file, args)
-    s = _validated_structure(obj, _policy(args))
+    s = _validated_structure(obj)
     _, prob = _load(args.probability_file, args)
     prob = _expect(prob, ProbabilityAssignment, "probability")
     return s, prob
@@ -288,7 +278,7 @@ def _cmd_from_mass(args):
 def _cmd_fishburn(args):
     s, prob = _load_pair(args)
     beliefs = belief_from_structure(s, prob)
-    report = fishburn_report(beliefs, _policy(args))
+    report = fishburn_report(beliefs)
     return (0 if report.ok else 1), _report_text(report, args.format == "json")
 
 
@@ -339,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--validate", action="store_true", help="check axioms while loading")
-    common.add_argument("--exhaustive", action="store_true", help="force exhaustive pair sweeps")
-    common.add_argument("--sample", type=int, default=1_000_000, metavar="N",
-                        help="sampled pairs per sweep above the exhaustive limit")
     common.add_argument("--seed", type=int, default=0, metavar="N", help="master seed")
     common.add_argument("--out", metavar="FILE", help="write the result to FILE")
     common.add_argument("--format", choices=("text", "json"), default="text")

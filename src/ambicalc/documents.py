@@ -70,6 +70,11 @@ def _require_fields(raw: dict, fields: tuple[str, ...]):
 def _names(raw, label: str) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise SchemaError(f"{label} must be a list of strings")
+    for name in raw:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{label}: name {name!r} cannot be encoded as UTF-8") from None
     return tuple(raw)
 
 

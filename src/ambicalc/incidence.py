@@ -36,15 +36,13 @@ from .interval import (
 )
 from .reports import AxiomReport, Witness, failed, passed
 from .sweeps import (
-    SweepPolicy,
     compat_failure,
     derive_seed,
     first_compat_violation,
     first_inter_hom_violation,
     first_union_hom_violation,
     inter_hom_failure,
-    lazy_pair_samples,
-    pair_samples,
+    smallest_witness,
     union_hom_failure,
 )
 
@@ -145,13 +143,13 @@ def incidence_from_pointmap(g: PointMap, frame: Frame, space: SituationSpace) ->
     return inc
 
 
-def incidence_from_map(m: SetValuedMap, policy: SweepPolicy | None = None) -> IncidenceMap:
+def incidence_from_map(m: SetValuedMap) -> IncidenceMap:
     """Admit a raw set-valued map as an incidence map.
 
     The axioms are checked in full and the point map is rebuilt from the
     singleton images, which must partition the space.
     """
-    report = check_incidence_axioms(m, policy)
+    report = check_incidence_axioms(m)
     if not report.ok:
         first = next(v for v in report.verdicts if not v.ok)
         raise IncidenceAxiomViolation(
@@ -175,7 +173,7 @@ def incidence_from_map(m: SetValuedMap, policy: SweepPolicy | None = None) -> In
     return IncidenceMap(m, PointMap(tuple(targets)))
 
 
-def check_incidence_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -> AxiomReport:
+def check_incidence_axioms(m: SetValuedMap) -> AxiomReport:
     """Axioms i1 (empty at ∅), i2 (full at Θ), i3 (union distribution),
     i4 (complement exchange), plus the derived i3' (intersection
     distribution)."""
@@ -202,10 +200,7 @@ def check_incidence_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -
             )
         )
 
-    pairs = lazy_pair_samples(fr.m, policy)
-    hit = union_hom_failure(t)
-    if hit is not None:
-        hit = first_union_hom_violation(t, size, pairs()) or hit
+    hit = smallest_witness(union_hom_failure(t), first_union_hom_violation, t)
     if hit is None:
         verdicts.append(passed("i3"))
     else:
@@ -233,9 +228,7 @@ def check_incidence_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -
         )
         verdicts.append(failed("i4", Witness(subset_a=a, detail=detail)))
 
-    hit = inter_hom_failure(t)
-    if hit is not None:
-        hit = first_inter_hom_violation(t, size, pairs()) or hit
+    hit = smallest_witness(inter_hom_failure(t), first_inter_hom_violation, t)
     if hit is None:
         verdicts.append(passed("i3'"))
     else:
@@ -331,18 +324,14 @@ def check_sandwich(s: IntervalStructure, i: IncidenceMap) -> AxiomReport:
     return AxiomReport(tuple(verdicts))
 
 
-def check_compatibility(
-    i: IncidenceMap, a: AmbiguityMap, policy: SweepPolicy | None = None
-) -> AxiomReport:
+def check_compatibility(i: IncidenceMap, a: AmbiguityMap) -> AxiomReport:
     """a(A) ∪ a(B) ⊆ i(A∪B) ∪ a(A∪B) for every pair of subsets."""
     if i.frame != a.frame:
         raise FrameMismatch("incidence and ambiguity maps use different frames")
     if i.space != a.space:
         raise SpaceMismatch("incidence and ambiguity maps use different spaces")
     at, it = a.map.table, i.map.table
-    hit = compat_failure(at, it)
-    if hit is not None:
-        hit = first_compat_violation(at, it, len(at), pair_samples(i.frame.m, policy)) or hit
+    hit = smallest_witness(compat_failure(at, it), first_compat_violation, at, it)
     if hit is None:
         return AxiomReport((passed("compatibility"),))
     x, y = hit
@@ -378,9 +367,7 @@ def decompose_interval(
     return inc, amb
 
 
-def compose_interval(
-    i: IncidenceMap, a: AmbiguityMap, policy: SweepPolicy | None = None
-) -> IntervalStructure:
+def compose_interval(i: IncidenceMap, a: AmbiguityMap) -> IntervalStructure:
     """Assemble the structure upper = i ∪ a, lower = i ∩ ¬a.
 
     The ambiguity axioms and the compatibility condition are validated
@@ -391,13 +378,13 @@ def compose_interval(
         raise FrameMismatch("incidence and ambiguity maps use different frames")
     if i.space != a.space:
         raise SpaceMismatch("incidence and ambiguity maps use different spaces")
-    amb_report = check_ambiguity_axioms(a.map, policy)
+    amb_report = check_ambiguity_axioms(a.map)
     if not amb_report.ok:
         first = next(v for v in amb_report.verdicts if not v.ok)
         raise AmbiguityAxiomViolation(
             f"{first.axiom} fails: {first.witness.detail}", report=amb_report
         )
-    compat = check_compatibility(i, a, policy)
+    compat = check_compatibility(i, a)
     if not compat.ok:
         w = compat.verdicts[0].witness
         raise IncompatiblePair(
@@ -409,7 +396,7 @@ def compose_interval(
     it, at = i.map.table, a.map.table
     upper = SetValuedMap(i.frame, i.space, tuple(x | y for x, y in zip(it, at)))
     lower = SetValuedMap(i.frame, i.space, tuple(x & (omega ^ y) for x, y in zip(it, at)))
-    s = make_interval_structure(lower, upper, policy)
+    s = make_interval_structure(lower, upper)
     for mask in range(len(it)):
         gap = s.upper.table[mask] & ~s.lower.table[mask]
         if gap != at[mask]:

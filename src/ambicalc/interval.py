@@ -22,17 +22,15 @@ from .errors import (
 from .frames import Frame, SituationSpace
 from .reports import AxiomReport, Verdict, Witness, failed, merge, passed
 from .sweeps import (
-    SweepPolicy,
     first_inter_bound_violation,
     first_inter_hom_violation,
     first_overlap_violation,
     first_union_bound_violation,
     first_union_hom_violation,
     inter_hom_failure,
-    lazy_pair_samples,
     monotone_failure,
     overlap_failure,
-    pair_samples,
+    smallest_witness,
     union_hom_failure,
 )
 
@@ -117,126 +115,77 @@ def _pair_witness(m: SetValuedMap, axiom: str, pair, lhs: str, rhs: str) -> Verd
     return failed(axiom, Witness(subset_a=a, subset_b=b, detail=detail))
 
 
-def check_upper_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -> AxiomReport:
+def _check_map_axioms(m: SetValuedMap, empty: str, whole: str, pair_axioms) -> AxiomReport:
+    """Image of ∅ empty (``empty``), image of Θ full (``whole``), then one
+    verdict per (axiom, test, scan, on_union, rhs_first) in ``pair_axioms``;
+    a witness shows the union or the intersection side of the pair."""
+    t = m.table
+    sp = m.space
+    full = m.frame.full
+    verdicts = []
+
+    if t[0] == 0:
+        verdicts.append(passed(empty))
+    else:
+        verdicts.append(
+            failed(empty, Witness(subset_a=0, detail=f"image of ∅ is {sp.format_subset(t[0])}"))
+        )
+    if t[full] == sp.full:
+        verdicts.append(passed(whole))
+    else:
+        verdicts.append(
+            failed(
+                whole,
+                Witness(subset_a=full, detail=f"image of Θ is {sp.format_subset(t[full])}"),
+            )
+        )
+
+    for axiom, test, scan, on_union, rhs_first in pair_axioms:
+        hit = smallest_witness(test(t), scan, t)
+        if hit is None:
+            verdicts.append(passed(axiom))
+            continue
+        a, b = hit
+        if on_union:
+            sides = [
+                f"image of A∪B is {sp.format_subset(t[a | b])}",
+                f"union of images is {sp.format_subset(t[a] | t[b])}",
+            ]
+        else:
+            sides = [
+                f"image of A∩B is {sp.format_subset(t[a & b])}",
+                f"intersection of images is {sp.format_subset(t[a] & t[b])}",
+            ]
+        verdicts.append(_pair_witness(m, axiom, hit, *(sides[::-1] if rhs_first else sides)))
+    return AxiomReport(tuple(verdicts))
+
+
+def check_upper_axioms(m: SetValuedMap) -> AxiomReport:
     """Empty fixpoint, full fixpoint, union distribution, and the derived
     intersection bound.  The bound must pass whenever the first three do."""
-    t = m.table
-    size = len(t)
-    sp = m.space
-    verdicts = []
-
-    if t[0] == 0:
-        verdicts.append(passed("f̄1"))
-    else:
-        verdicts.append(
-            failed("f̄1", Witness(subset_a=0, detail=f"image of ∅ is {sp.format_subset(t[0])}"))
-        )
-    full = m.frame.full
-    if t[full] == sp.full:
-        verdicts.append(passed("f̄2"))
-    else:
-        verdicts.append(
-            failed(
-                "f̄2",
-                Witness(subset_a=full, detail=f"image of Θ is {sp.format_subset(t[full])}"),
-            )
-        )
-
-    pairs = lazy_pair_samples(m.frame.m, policy)
-    hit = union_hom_failure(t)
-    if hit is not None:
-        hit = first_union_hom_violation(t, size, pairs()) or hit
-    if hit is None:
-        verdicts.append(passed("f̄3"))
-    else:
-        a, b = hit
-        verdicts.append(
-            _pair_witness(
-                m,
-                "f̄3",
-                hit,
-                f"image of A∪B is {sp.format_subset(t[a | b])}",
-                f"union of images is {sp.format_subset(t[a] | t[b])}",
-            )
-        )
-    hit = monotone_failure(t)
-    if hit is not None:
-        hit = first_inter_bound_violation(t, size, pairs()) or hit
-    if hit is None:
-        verdicts.append(passed("f̄4"))
-    else:
-        a, b = hit
-        verdicts.append(
-            _pair_witness(
-                m,
-                "f̄4",
-                hit,
-                f"image of A∩B is {sp.format_subset(t[a & b])}",
-                f"intersection of images is {sp.format_subset(t[a] & t[b])}",
-            )
-        )
-    return AxiomReport(tuple(verdicts))
+    return _check_map_axioms(
+        m,
+        "f̄1",
+        "f̄2",
+        (
+            ("f̄3", union_hom_failure, first_union_hom_violation, True, False),
+            ("f̄4", monotone_failure, first_inter_bound_violation, False, False),
+        ),
+    )
 
 
-def check_lower_axioms(m: SetValuedMap, policy: SweepPolicy | None = None) -> AxiomReport:
+def check_lower_axioms(m: SetValuedMap) -> AxiomReport:
     """Mirror of the upper axioms: intersection distribution with a derived
     union bound."""
-    t = m.table
-    size = len(t)
-    sp = m.space
-    verdicts = []
-
-    if t[0] == 0:
-        verdicts.append(passed("f1"))
-    else:
-        verdicts.append(
-            failed("f1", Witness(subset_a=0, detail=f"image of ∅ is {sp.format_subset(t[0])}"))
-        )
-    full = m.frame.full
-    if t[full] == sp.full:
-        verdicts.append(passed("f2"))
-    else:
-        verdicts.append(
-            failed(
-                "f2",
-                Witness(subset_a=full, detail=f"image of Θ is {sp.format_subset(t[full])}"),
-            )
-        )
-
-    pairs = lazy_pair_samples(m.frame.m, policy)
-    hit = inter_hom_failure(t)
-    if hit is not None:
-        hit = first_inter_hom_violation(t, size, pairs()) or hit
-    if hit is None:
-        verdicts.append(passed("f3"))
-    else:
-        a, b = hit
-        verdicts.append(
-            _pair_witness(
-                m,
-                "f3",
-                hit,
-                f"image of A∩B is {sp.format_subset(t[a & b])}",
-                f"intersection of images is {sp.format_subset(t[a] & t[b])}",
-            )
-        )
-    hit = monotone_failure(t)
-    if hit is not None:
-        hit = first_union_bound_violation(t, size, pairs()) or hit
-    if hit is None:
-        verdicts.append(passed("f4"))
-    else:
-        a, b = hit
-        verdicts.append(
-            _pair_witness(
-                m,
-                "f4",
-                hit,
-                f"union of images is {sp.format_subset(t[a] | t[b])}",
-                f"image of A∪B is {sp.format_subset(t[a | b])}",
-            )
-        )
-    return AxiomReport(tuple(verdicts))
+    return _check_map_axioms(
+        m,
+        "f1",
+        "f2",
+        (
+            ("f3", inter_hom_failure, first_inter_hom_violation, False, False),
+            ("f4", monotone_failure, first_union_bound_violation, True, True),
+        ),
+    )
 
 
 def check_duality(lower: SetValuedMap, upper: SetValuedMap) -> AxiomReport:
@@ -275,22 +224,18 @@ def _require_same_universes(x, y, what: str):
         raise FrameMismatch(f"{what} built over different situation spaces")
 
 
-def check_structure(
-    lower: SetValuedMap, upper: SetValuedMap, policy: SweepPolicy | None = None
-) -> AxiomReport:
+def check_structure(lower: SetValuedMap, upper: SetValuedMap) -> AxiomReport:
     """Full axiom suite for a candidate (lower, upper) pair, without raising."""
     _require_same_universes(lower, upper, "lower/upper maps")
     return merge(
-        check_upper_axioms(upper, policy),
+        check_upper_axioms(upper),
         check_duality(lower, upper),
-        check_lower_axioms(lower, policy),
+        check_lower_axioms(lower),
         AxiomReport((_sandwich_verdict(lower, upper),)),
     )
 
 
-def make_interval_structure(
-    lower: SetValuedMap, upper: SetValuedMap, policy: SweepPolicy | None = None
-) -> IntervalStructure:
+def make_interval_structure(lower: SetValuedMap, upper: SetValuedMap) -> IntervalStructure:
     """Validate and wrap a (lower, upper) pair.
 
     The upper axioms and the duality are the defining conditions; the lower
@@ -298,7 +243,7 @@ def make_interval_structure(
     pass means the engine itself is broken.
     """
     _require_same_universes(lower, upper, "lower/upper maps")
-    up = check_upper_axioms(upper, policy)
+    up = check_upper_axioms(upper)
     if not up.ok:
         first = next(v for v in up.verdicts if not v.ok)
         raise UpperAxiomViolation(f"{first.axiom} fails: {first.witness.detail}", report=up)
@@ -307,7 +252,7 @@ def make_interval_structure(
         raise DualityViolation(
             f"duality fails: {du.verdicts[0].witness.detail}", report=du
         )
-    low = check_lower_axioms(lower, policy)
+    low = check_lower_axioms(lower)
     sandwich = _sandwich_verdict(lower, upper)
     if not (low.ok and sandwich.ok):
         raise InternalInvariantFailure(
@@ -316,10 +261,9 @@ def make_interval_structure(
     return IntervalStructure(lower, upper)
 
 
-def check_assignment(m: SetValuedMap, policy: SweepPolicy | None = None) -> AxiomReport:
+def check_assignment(m: SetValuedMap) -> AxiomReport:
     """Basic-assignment axioms: empty cell at ∅, space coverage, disjointness."""
     t = m.table
-    size = len(t)
     sp = m.space
     verdicts = []
 
@@ -346,9 +290,7 @@ def check_assignment(m: SetValuedMap, policy: SweepPolicy | None = None) -> Axio
             )
         )
 
-    hit = overlap_failure(t)
-    if hit is not None:
-        hit = first_overlap_violation(t, size, pair_samples(m.frame.m, policy)) or hit
+    hit = smallest_witness(overlap_failure(t), first_overlap_violation, t)
     if hit is None:
         verdicts.append(passed("j3"))
     else:
@@ -413,16 +355,14 @@ def extract_assignment(s: IntervalStructure) -> BasicAssignment:
     return BasicAssignment(SetValuedMap(s.frame, s.space, cells_t))
 
 
-def structure_from_assignment(
-    j: BasicAssignment, policy: SweepPolicy | None = None
-) -> IntervalStructure:
+def structure_from_assignment(j: BasicAssignment) -> IntervalStructure:
     """Build the interval structure whose cells are ``j``.
 
     The lower map unions cells over subsets, the upper map is its dual, and
     the direct overlap formula upper(A) = union of cells meeting A is checked
     against the dual on the side, on every subset.
     """
-    report = check_assignment(j.map, policy)
+    report = check_assignment(j.map)
     if not report.ok:
         first = next(v for v in report.verdicts if not v.ok)
         raise AssignmentAxiomViolation(
@@ -451,4 +391,4 @@ def structure_from_assignment(
                 "overlap formula disagrees with the dual upper map at "
                 f"{j.frame.format_subset(a)}"
             )
-    return make_interval_structure(lower, upper, policy)
+    return make_interval_structure(lower, upper)

@@ -31,7 +31,7 @@ from .interval import (
     structure_from_assignment,
 )
 from .reports import AxiomReport, Witness, failed, passed
-from .sweeps import SweepPolicy, first_submodular_violation, pair_samples, submodular_failure
+from .sweeps import first_submodular_violation, smallest_witness, submodular_failure
 
 Rational = Fraction
 
@@ -332,7 +332,7 @@ def structure_from_mass(
     return space, prob, j, s
 
 
-def fishburn_report(report: BeliefReport, policy: SweepPolicy | None = None) -> AxiomReport:
+def fishburn_report(report: BeliefReport) -> AxiomReport:
     """Numeric ambiguity axioms for α: zero at ∅ and nonnegative, complement
     symmetric, submodular over pairs, plus the derived zero at Θ."""
     fr = report.frame
@@ -372,9 +372,7 @@ def fishburn_report(report: BeliefReport, policy: SweepPolicy | None = None) -> 
         )
         verdicts.append(failed("α2", Witness(subset_a=hit, detail=detail)))
 
-    hit = submodular_failure(scaled)
-    if hit is not None:
-        hit = first_submodular_violation(scaled, size, pair_samples(fr.m, policy)) or hit
+    hit = smallest_witness(submodular_failure(scaled), first_submodular_violation, scaled)
     if hit is None:
         verdicts.append(passed("α3"))
     else:

@@ -336,6 +336,30 @@ def test_non_utf8_document_is_exit_2(tmp_path, command):
     assert run_command([command, str(doc)]) == (2, message)
 
 
+@pytest.mark.parametrize("field", ["atoms", "situations"])
+@pytest.mark.parametrize("argv", [["check"], ["build"], ["build", "--out", "OUT"]])
+def test_name_with_a_lone_surrogate_is_exit_2(tmp_path, field, argv):
+    atom, situation = ("x\ud800", "w1") if field == "atoms" else ("x", "w\ud800")
+    doc = tmp_path / "surrogate.json"
+    # json.dumps escapes the lone surrogate as the six characters \ud800
+    doc.write_text(
+        json.dumps({"kind": "assignment", "atoms": [atom], "situations": [situation],
+                    "body": {atom: [situation]}}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.json"
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    code, text = run_command([argv[0], str(doc), *argv[1:]])
+    name = atom if field == "atoms" else situation
+    assert (code, text) == (2, f"error: {field}: name {name!r} cannot be encoded as UTF-8")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--sample", "5"], ["--exhaustive"]])
+def test_removed_sweep_flags_are_exit_2(flag):
+    assert run_command(["check", fx("fix1_interval.json"), *flag])[0] == 2
+
+
 def test_non_utf8_selector_table_is_exit_2(tmp_path):
     table = tmp_path / "sel.json"
     table.write_bytes(b'{"x": "\xff"}')

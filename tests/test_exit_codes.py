@@ -97,9 +97,8 @@ def argvs(draw, doc: str, workdir: Path) -> list[str]:
         for flag in ("--fault-injection", "--zero-weights"):
             if draw(st.booleans()):
                 argv.append(flag)
-    for flag in ("--validate", "--exhaustive"):
-        if draw(st.booleans()):
-            argv.append(flag)
+    if draw(st.booleans()):
+        argv.append("--validate")
     if draw(st.booleans()):
         argv += ["--seed", draw(seeds | st.just("x"))]
     if draw(st.booleans()):

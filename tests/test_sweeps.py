@@ -3,9 +3,10 @@
 Each ``*_failure`` test in ``ambicalc.sweeps`` decides a pair axiom from a
 local condition.  Here every 1-situation table of a small frame is run
 through both the test and the full scan, seeded multi-situation tables at
-m ∈ {6, 8} through the checkers and the oracle, and tables at m ∈ {9, 12},
+m ∈ {6, 8} through the checkers and the oracle, and tables at m ∈ {9, 12, 16},
 where the oracle is out of reach, through the checkers alone, with every
-reported witness re-verified from the axiom's formula.
+reported witness re-verified from the axiom's formula.  Small tables lifted
+to m ∈ {9, 12} carry their scanned a3.1/a3.2 verdicts with them.
 """
 
 import random
@@ -23,7 +24,6 @@ from ambicalc import (
     PointMap,
     SetValuedMap,
     SituationSpace,
-    SweepPolicy,
     check_ambiguity_axioms,
     check_assignment,
     check_compatibility,
@@ -45,6 +45,8 @@ from ambicalc.sweeps import (
     first_union_bound_violation,
     first_union_hom_violation,
     inter_hom_failure,
+    mixed_inter_failure,
+    mixed_union_failure,
     monotone_failure,
     overlap_failure,
     split_form_holds,
@@ -91,10 +93,36 @@ def test_exact_tests_match_the_scans_on_every_one_situation_table(m):
         (monotone_failure, first_inter_bound_violation, INTER_BOUND),
         (monotone_failure, first_union_bound_violation, UNION_BOUND),
         (overlap_failure, first_overlap_violation, OVERLAP),
+        (mixed_union_failure, first_mixed_union_violation, MIXED_UNION),
+        (mixed_inter_failure, first_mixed_inter_violation, MIXED_INTER),
     )
     for t in one_situation_tables(m):
         for test, scan, formula in pairs:
             assert agrees(test, scan, formula, t), (test.__name__, t)
+
+
+def lifted_subsets(m, big):
+    """A ∩ X for every subset A of ``big`` atoms, as a subset of the m atoms
+    of X = {x1, x4, x7, …}.  A ↦ A ∩ X is a lattice homomorphism, so the
+    table t(A) = s(A ∩ X) keeps every pair-axiom verdict of s."""
+    return [
+        sum(1 << k for k in range(m) if a >> 3 * k & 1) for a in range(1 << big)
+    ]
+
+
+@pytest.mark.parametrize("big", [9, 12])
+def test_mixed_bound_tests_keep_the_verdicts_of_lifted_tables(big):
+    for m in (1, 2, 3):
+        projected = lifted_subsets(m, big)
+        for s in one_situation_tables(m):
+            t = tuple(s[p] for p in projected)
+            for test, scan, formula in (
+                (mixed_union_failure, first_mixed_union_violation, MIXED_UNION),
+                (mixed_inter_failure, first_mixed_inter_violation, MIXED_INTER),
+            ):
+                hit = test(t)
+                assert (hit is None) == (scan(s, len(s), None) is None), (test.__name__, s)
+                assert hit is None or formula(t, *hit), (test.__name__, s)
 
 
 @pytest.mark.parametrize("m, valid", [(1, 1), (2, 2), (3, 5), (4, 12)])
@@ -228,11 +256,7 @@ def test_checkers_agree_with_the_oracle_witness_for_witness(m, n, seed):
         assert report.agreement_key() == oracle_verify(obj).agreement_key()
 
 
-# --- above the exhaustive limit: no oracle, so re-verify every witness
-
-# a sample this small mostly misses a single flipped bit, so the witnesses
-# checked below are mostly the exact tests' own pairs
-SMALL = SweepPolicy(samples=1000)
+# --- above the scan limit: no oracle, so re-verify every witness
 
 PAIR_FORMULAS = {
     "f̄3": ("upper", UNION_HOM),
@@ -265,6 +289,8 @@ def assert_witnesses_hold(report, tables, omega):
             assert tables["lower"][a] != omega ^ tables["upper"][full ^ a], v
         elif v.axiom == "sandwich":
             assert tables["lower"][a] & ~tables["upper"][a], v
+        elif v.axiom == "a2":
+            assert tables["amb"][a] != tables["amb"][full ^ a], v
         elif v.axiom == "i4":
             assert omega ^ tables["inc"][a] != tables["inc"][full ^ a], v
         elif v.axiom == "j1":
@@ -308,13 +334,13 @@ def test_valid_tables_pass_every_axiom_above_eight_atoms(m, n, seed):
         return SetValuedMap(frame, space, tuple(table))
 
     inc = incidence_from_pointmap(PointMap(tuple(rng.randrange(m) for _ in range(n))), frame, space)
-    assert check_assignment(svm(cells), SMALL).ok
-    assert check_structure(svm(lower), svm(upper), SMALL).ok
-    assert check_ambiguity_axioms(svm(gap), SMALL).ok
-    assert check_incidence_axioms(inc.map, SMALL).ok
+    assert check_assignment(svm(cells)).ok
+    assert check_structure(svm(lower), svm(upper)).ok
+    assert check_ambiguity_axioms(svm(gap)).ok
+    assert check_incidence_axioms(inc.map).ok
     if m <= 9:
         weights = [rng.randint(1, 1000) for _ in range(n)]
-        assert fishburn_report(belief_report(frame, lower, upper, weights), SMALL).ok
+        assert fishburn_report(belief_report(frame, lower, upper, weights)).ok
     # an incidence map sandwiched by the structure is compatible with its gap
     targets = [0] * n
     for a, cell in enumerate(cells):
@@ -322,13 +348,13 @@ def test_valid_tables_pass_every_axiom_above_eight_atoms(m, n, seed):
             if cell >> w & 1:
                 targets[w] = (a & -a).bit_length() - 1
     chosen = incidence_from_pointmap(PointMap(tuple(targets)), frame, space)
-    assert check_compatibility(chosen, AmbiguityMap(svm(gap)), SMALL).ok
+    assert check_compatibility(chosen, AmbiguityMap(svm(gap))).ok
 
 
 @pytest.mark.parametrize("m, n, seed", [(9, 64, 21), (9, 20, 22), (12, 64, 23), (12, 30, 24)])
 def test_one_flipped_bit_fails_with_a_true_witness_above_eight_atoms(m, n, seed):
     """A bit flipped in the image of a subset with two or more atoms breaks
-    union distribution there, whatever the sample holds."""
+    union distribution there."""
     rng = random.Random(seed)
     frame, space = universes(m, n)
     omega = space.full
@@ -339,30 +365,30 @@ def test_one_flipped_bit_fails_with_a_true_witness_above_eight_atoms(m, n, seed)
 
     bad_upper = list(upper)
     bad_upper[wide_subset(rng, m)] ^= 1 << rng.randrange(n)
-    report = check_structure(svm(lower), svm(bad_upper), SMALL)
+    report = check_structure(svm(lower), svm(bad_upper))
     assert not report.find("f̄3").ok
     assert_witnesses_hold(report, {"lower": lower, "upper": bad_upper}, omega)
 
     bad_cells = flip(cells, n, rng)
-    report = check_assignment(svm(bad_cells), SMALL)
+    report = check_assignment(svm(bad_cells))
     assert not report.ok
     assert_witnesses_hold(report, {"cells": bad_cells}, omega)
 
     inc = incidence_from_pointmap(PointMap(tuple(rng.randrange(m) for _ in range(n))), frame, space)
     bad_inc = list(inc.map.table)
     bad_inc[wide_subset(rng, m)] ^= 1 << rng.randrange(n)
-    report = check_incidence_axioms(svm(bad_inc), SMALL)
+    report = check_incidence_axioms(svm(bad_inc))
     assert not report.find("i3").ok
     assert_witnesses_hold(report, {"inc": bad_inc}, omega)
 
     gap = [u & ~lo for lo, u in zip(lower, upper)]
-    report = check_compatibility(IncidenceMap(svm(bad_inc), inc.origin), AmbiguityMap(svm(gap)), SMALL)
+    report = check_compatibility(IncidenceMap(svm(bad_inc), inc.origin), AmbiguityMap(svm(gap)))
     assert_witnesses_hold(report, {"amb": gap, "inc": bad_inc}, omega)
 
 
 def test_a_failing_submodularity_gets_a_true_witness_above_eight_atoms():
     """α is 1/2 on {x1,x2} and its complement and 0 elsewhere, so the pair
-    ({x1}, {x2}) breaks submodularity; no structured pair of the sample does."""
+    ({x1}, {x2}) breaks submodularity."""
     m = 9
     frame, _ = universes(m, 4)
     size = 1 << m
@@ -372,6 +398,49 @@ def test_a_failing_submodularity_gets_a_true_witness_above_eight_atoms():
     alpha[0b11] = alpha[full ^ 0b11] = half
     bel = [Fraction(0)] * full + [Fraction(1)]
     pl = [b + x for b, x in zip(bel, alpha)]
-    report = fishburn_report(BeliefReport(frame, tuple(bel), tuple(pl), tuple(alpha)), SMALL)
+    report = fishburn_report(BeliefReport(frame, tuple(bel), tuple(pl), tuple(alpha)))
     assert [v.axiom for v in report.verdicts if not v.ok] == ["α3"]
     assert_witnesses_hold(report, {"alpha": [2 * x for x in alpha]}, 0)
+
+
+def found_case(width):
+    """A valid m=12, n=8 gap with situation ω dropped from a(A) and a(¬A),
+    where A holds one atom x of ω's cell F plus ``width`` atoms outside F.
+
+    Per situation, the subsets whose gap image misses ω are those that hold
+    F or miss it; adding A and ¬A breaks their closure (A ∪ B splits F for a
+    B that misses F and A), so a3.1 fails.  The subsets whose image holds ω
+    stay order-convex when A = {x}, so a3.2 holds; with two atoms outside F
+    in A, {x, p} ⊂ A ⊂ A+r breaks convexity, so a3.2 fails.
+    """
+    m, n = 12, 8
+    frame, space = universes(m, n)
+    cells, lower, upper = valid_tables(m, n, random.Random(40))
+    gap = [u & ~lo for lo, u in zip(lower, upper)]
+    full = (1 << m) - 1
+    f, cell = next((f, c) for f, c in enumerate(cells) if f.bit_count() >= 2 and c)
+    assert (full ^ f).bit_count() >= 3
+    w = cell & -cell
+    a = (f & -f) | sum(sorted(1 << x for x in range(m) if not f >> x & 1)[:width])
+    gap[a] &= ~w
+    gap[full ^ a] &= ~w
+    return SetValuedMap(frame, space, tuple(gap)), gap
+
+
+@pytest.mark.parametrize("width, a3_2", [(0, True), (2, False)])
+def test_mixed_bounds_are_exact_above_eight_atoms(width, a3_2):
+    svm, gap = found_case(width)
+    report = check_ambiguity_axioms(svm)
+    assert [v.axiom for v in report.verdicts if v.ok] == ["a1", "a2"] + ["a3.2"] * a3_2 + ["a4"]
+    assert_witnesses_hold(report, {"amb": gap}, svm.space.full)
+
+
+def test_a_one_bit_faulty_ambiguity_map_at_sixteen_atoms():
+    m, n = 16, 64
+    rng = random.Random(16)
+    frame, space = universes(m, n)
+    _, lower, upper = valid_tables(m, n, rng)
+    gap = flip([u & ~lo for lo, u in zip(lower, upper)], n, rng)
+    report = check_ambiguity_axioms(SetValuedMap(frame, space, tuple(gap)))
+    assert not report.ok
+    assert_witnesses_hold(report, {"amb": gap}, space.full)
