@@ -10,6 +10,7 @@ family of cells indexed by subsets of the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AssignmentAxiomViolation,
@@ -67,10 +68,17 @@ class SetValuedMap:
 
 @dataclass(frozen=True)
 class IntervalStructure:
-    """A validated (lower, upper) pair.  Build through make_interval_structure."""
+    """A validated (lower, upper) pair.  Build through make_interval_structure
+    or structure_from_assignment."""
 
     lower: SetValuedMap
     upper: SetValuedMap
+
+    @cached_property
+    def assignment(self) -> "BasicAssignment":
+        """The basic assignment of the structure: the one it was built from,
+        or else extracted once, on first use."""
+        return extract_assignment(self)
 
     @property
     def frame(self) -> Frame:
@@ -356,11 +364,13 @@ def extract_assignment(s: IntervalStructure) -> BasicAssignment:
 
 
 def structure_from_assignment(j: BasicAssignment) -> IntervalStructure:
-    """Build the interval structure whose cells are ``j``.
+    """Build the interval structure whose cells are ``j``; it carries ``j``
+    as its ``assignment``.
 
     The lower map unions cells over subsets, the upper map is its dual, and
     the direct overlap formula upper(A) = union of cells meeting A is checked
-    against the dual on the side, on every subset.
+    against the dual on the side, on every subset.  Such a pair satisfies
+    every structure axiom by construction, so they are not checked again.
     """
     report = check_assignment(j.map)
     if not report.ok:
@@ -391,4 +401,6 @@ def structure_from_assignment(j: BasicAssignment) -> IntervalStructure:
                 "overlap formula disagrees with the dual upper map at "
                 f"{j.frame.format_subset(a)}"
             )
-    return make_interval_structure(lower, upper)
+    s = IntervalStructure(lower, upper)
+    vars(s)["assignment"] = j  # fills the cached property
+    return s

@@ -115,10 +115,13 @@ def overlap_failure(t):
     return a, b
 
 
-def _split_form_misses(t) -> int:
+def split_form_misses(t) -> int:
     """The situations ω where t(A) ∋ ω differs, for some A, from "the atoms
     whose singleton image holds ω lie partly in A and partly outside it",
-    that is t(A) != meets(A) ∩ meets(¬A) with meets(A) = ∪_{x∈A} t({x})."""
+    that is t(A) != meets(A) ∩ meets(¬A) with meets(A) = ∪_{x∈A} t({x}).
+
+    The ambiguity axioms a1, a2, a3.1 and a3.2 hold together exactly when
+    this is 0: when the split form holds in every situation."""
     size = len(t)
     meets = [0] * size
     for a in range(1, size):
@@ -128,12 +131,6 @@ def _split_form_misses(t) -> int:
     for a, ta in enumerate(t):
         misses |= ta ^ (meets[a] & meets[size - 1 ^ a])
     return misses
-
-
-def split_form_holds(t) -> bool:
-    """True iff the ambiguity axioms a1, a2, a3.1 and a3.2 hold together:
-    exactly when the split form holds in every situation."""
-    return not _split_form_misses(t)
 
 
 def _or_zeta(t, up: bool = False) -> list:
@@ -230,14 +227,15 @@ def _sublattice_failure(family: int, has: list) -> tuple[int, int] | None:
             return _pair(a, b)
 
 
-def mixed_union_failure(t):
+def mixed_union_failure(t, misses=None):
     """None when t(A∩B) ∪ t(A∪B) ⊆ t(A) ∪ t(B) for every pair, else a pair
     where it fails.
 
     Exact: per situation ω the subsets whose image misses ω must be closed
     under ∪ and ∩.  Only a situation where the split form fails can break
     that, so each of those, lowest first, has its subsets tested as one
-    2^m-bit family by ``_sublattice_failure``.
+    2^m-bit family by ``_sublattice_failure``.  ``misses`` is
+    ``split_form_misses(t)`` when the caller has it already.
     """
     size = len(t)
     everything = (1 << size) - 1
@@ -245,7 +243,8 @@ def mixed_union_failure(t):
     for x in range(size.bit_length() - 1):
         half = 1 << x
         has.append((((1 << half) - 1) << half) * everything // ((1 << 2 * half) - 1))
-    misses = _split_form_misses(t)
+    if misses is None:
+        misses = split_form_misses(t)
     while misses:
         w = _lowest(misses)
         misses &= misses - 1

@@ -5,10 +5,12 @@ from ambicalc import (
     AmbiguityMap,
     BasicAssignment,
     Frame,
+    GenConfig,
     PointMap,
     ProbabilityAssignment,
     SetValuedMap,
     SituationSpace,
+    fuzz,
     incidence_from_pointmap,
     structure_from_assignment,
 )
@@ -21,6 +23,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+# the acceptance session: seed 42, 1000 trials, frames up to 5 atoms and
+# spaces up to 10 situations
+SESSION_CFG = GenConfig(m=5, n=10, seed=42, trials=1000, seeded_selectors=5)
+
+
+@pytest.fixture(scope="session")
+def session_report():
+    return fuzz(SESSION_CFG)
 
 
 @pytest.fixture

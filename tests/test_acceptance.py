@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
-The shared fuzz run uses seed 42, 1000 trials, frames up to 5 atoms, and
-spaces up to 10 situations; every per-trial property is exhaustive at these
-sizes and all numeric checks are exact rational arithmetic, so there are no
-tolerances anywhere.
+The shared fuzz run (the `session_report` fixture in conftest.py) uses seed
+42, 1000 trials, frames up to 5 atoms, and spaces up to 10 situations; every
+per-trial property is exhaustive at these sizes and all numeric checks are
+exact rational arithmetic, so there are no tolerances anywhere.
 """
 
 import os
@@ -35,9 +35,6 @@ from ambicalc.cli import run_command
 
 from test_incidence import all_explicit_selectors
 
-SESSION_CFG = GenConfig(m=5, n=10, seed=42, trials=1000, seeded_selectors=5)
-
-
 @pytest.fixture
 def announce(capsys):
     def _announce(name: str, ok: bool):
@@ -46,11 +43,6 @@ def announce(capsys):
         assert ok, name
 
     return _announce
-
-
-@pytest.fixture(scope="module")
-def session_report():
-    return fuzz(SESSION_CFG)
 
 
 def _clean(report, prop: str) -> bool:

@@ -1,8 +1,14 @@
+import concurrent.futures
+import hashlib
+import os
+import sys
+
 import pytest
 
 from ambicalc import (
     Frame,
     GenConfig,
+    IntervalStructure,
     SetValuedMap,
     SituationSpace,
     fuzz,
@@ -11,8 +17,41 @@ from ambicalc import (
     gen_probability,
     universes_for,
 )
-from ambicalc.harness import _drop_atom, _drop_situation, _shrink_map
+from ambicalc.cli import run_command
+from ambicalc.errors import UsageError
+from ambicalc.harness import _drop_atom, _drop_situation, _shrink_map, worker_count
 from ambicalc.interval import check_assignment
+
+# SHA-256 of the fuzz output of each configuration, recorded before the
+# per-trial work was deduplicated: a change to any report's bytes shows here.
+SESSION_DIGEST = "fe465d16d4ca6116e6470a71051a664ccb6ef35cd72f03976c71b1f2d779fc1e"
+GOLDEN_DIGESTS = {
+    "--seed 42 --trials 100 --fault-injection":
+        "544459310594172b59fb819696a0ea9b36fb8ffcf0c64255c167cd9ce8dcb3a9",
+    "--seed 7 --trials 200 --focal-bias 1.5":
+        "e3546fe1b08d874971586c89189bf05c874d53a9c0ab51665b69887659ff701e",
+    "--seed 7 --trials 150 --zero-weights":
+        "dd71374e25a0590131b25413ebc3f470ed0ff6c69590ecaa1a4e0ad50fc485cd",
+    "--seed 7 --trials 50 --atoms 6 --situations 20":
+        "0cef8e6cd3783fa49c5cfd869f55d9b56146a5f3f04ac71d6f044449218e33db",
+    "--seed 7 --trials 100 --format json":
+        "5ae6b313ede3c5e1ae4443bb2a952c4ecc51a6e8028596d3a300705f2443d49e",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_session_report_bytes(session_report):
+    assert _digest(session_report.render()) == SESSION_DIGEST
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_DIGESTS))
+def test_fuzz_output_bytes(flags):
+    code, text = run_command(["fuzz", *flags.split()])
+    assert code == 0
+    assert _digest(text) == GOLDEN_DIGESTS[flags]
 
 
 def test_genconfig_validation():
@@ -111,6 +150,93 @@ def test_fuzz_thread_count_is_invisible(monkeypatch):
     assert fuzz(cfg).render() == base
     monkeypatch.setenv("AMBIG_THREADS", "2")
     assert fuzz(cfg).render() == base
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "1.5", " "])
+def test_bad_worker_count_is_a_usage_error(monkeypatch, value):
+    monkeypatch.setenv("AMBIG_THREADS", value)
+    with pytest.raises(UsageError, match="AMBIG_THREADS"):
+        worker_count(10)
+    code, text = run_command(["fuzz", "--trials", "3"])
+    assert code == 2
+    assert text.startswith("error: AMBIG_THREADS must be")
+
+
+def test_worker_count_is_capped(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.delenv("AMBIG_THREADS", raising=False)
+    assert worker_count(1000) == 1
+    monkeypatch.setenv("AMBIG_THREADS", "")
+    assert worker_count(1000) == 1
+    monkeypatch.setenv("AMBIG_THREADS", str(10**9))
+    assert worker_count(1000) == min(cpus, 1000)
+    assert worker_count(1) == 1
+    monkeypatch.setenv("AMBIG_THREADS", "2")
+    assert worker_count(1) == 1
+    assert worker_count(1000) == min(2, cpus)
+
+
+def test_serial_fuzz_starts_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the serial path started a worker pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = GenConfig(m=3, n=4, seed=2, trials=5)
+    monkeypatch.delenv("AMBIG_THREADS", raising=False)
+    assert fuzz(cfg).ok
+    monkeypatch.setenv("AMBIG_THREADS", "1")
+    assert fuzz(cfg).ok
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    """Wrap each ``layer.function`` in ``names`` in a call counter, patched
+    into every ``ambicalc`` module that looks the function up by name."""
+    counts = dict.fromkeys(names, 0)
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("ambicalc")]
+    for name in names:
+        layer, attr = name.split(".")
+        original = getattr(sys.modules[f"ambicalc.{layer}"], attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+def test_each_fact_is_computed_once_per_trial(monkeypatch):
+    counts = _count_calls(
+        monkeypatch,
+        [
+            "interval.extract_assignment",
+            "incidence.check_incidence_axioms",
+            "ambiguity.check_ambiguity_axioms",
+            "interval.make_interval_structure",
+        ],
+    )
+    monkeypatch.delenv("AMBIG_THREADS", raising=False)
+    cfg = GenConfig(m=5, n=10, seed=4, trials=40)
+    assert fuzz(cfg).ok
+    assert {name: calls / cfg.trials for name, calls in counts.items()} == {
+        # the harness's own round trip; later stages reuse the carried one
+        "interval.extract_assignment": 1,
+        # the harness checks each selected incidence map once
+        "incidence.check_incidence_axioms": 1 + cfg.seeded_selectors,
+        # the harness's check, and compose_interval's input guard
+        "ambiguity.check_ambiguity_axioms": 2,
+        "interval.make_interval_structure": 0,
+    }
+
+
+def test_structure_carries_its_assignment(fix1):
+    assert fix1["s"].assignment is fix1["j"]
+    loaded = IntervalStructure(fix1["s"].lower, fix1["s"].upper)
+    assert loaded == fix1["s"]
+    assert loaded.assignment == fix1["j"]
 
 
 def test_fault_injection_always_detected():

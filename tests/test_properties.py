@@ -158,6 +158,7 @@ def test_compatibility_decides_composability(data):
         assert not compatible
     else:
         assert compatible
+        assert check_structure(s.lower, s.upper).ok
         assert ambiguity_from_interval(s) == amb
 
 
@@ -202,6 +203,7 @@ def test_belief_monotone_under_inclusion(data):
 def test_selected_incidence_is_sandwiched(j, seed):
     s = structure_from_assignment(j)
     inc = select_incidence(j, Selector.seeded(seed))
+    assert check_incidence_axioms(inc.map).ok
     rep = check_sandwich(s, inc)
     assert rep.ok
     for a in range(1 << j.frame.m):

@@ -49,7 +49,7 @@ from ambicalc.sweeps import (
     mixed_union_failure,
     monotone_failure,
     overlap_failure,
-    split_form_holds,
+    split_form_misses,
     submodular_failure,
     union_hom_failure,
 )
@@ -137,7 +137,7 @@ def test_split_form_is_the_conjunction_of_a1_to_a3_2(m, valid):
             and first_mixed_union_violation(t, size, None) is None
             and first_mixed_inter_violation(t, size, None) is None
         )
-        assert split_form_holds(t) == conjunction, t
+        assert (split_form_misses(t) == 0) == conjunction, t
         count += conjunction
     assert count == valid
 
