@@ -115,14 +115,30 @@ def _parse_map_body(body, frame: Frame, space: SituationSpace) -> SetValuedMap:
     if not isinstance(body, dict):
         raise SchemaError("body must be an object")
     table = [0] * (1 << frame.m)
+    atom_bit, situation_bit = frame._bit.get, space._bit.__getitem__
+    seen = {}  # the nonempty keys read so far, with their masks
     for key, value in body.items():
-        mask = _parse_subset_key(frame, key)
+        # most keys are a key read before, or none, plus a higher atom; any
+        # other key, bad ones included, goes through _parse_subset_key
+        prefix, comma, last = key.rpartition(",") if isinstance(key, str) else ("", "", "")
+        head = seen.get(prefix) if comma else 0
+        bit = atom_bit(last, 0)
+        mask = head | bit if head is not None and bit > head else _parse_subset_key(frame, key)
+        if mask:
+            seen[key] = mask
         if not isinstance(value, list):
             raise SchemaError(f"image of {key!r} must be a list of situation names")
         try:
-            table[mask] = space.encode(value)
-        except (UnknownElement, DuplicateElement) as exc:
-            raise SchemaError(str(exc)) from exc
+            image = sum(map(situation_bit, value))
+        except (KeyError, TypeError):
+            image = None
+        # distinct bits sum to their union; a repeated one carries
+        if image is None or image.bit_count() != len(value):
+            try:
+                image = space.encode(value)
+            except (UnknownElement, DuplicateElement) as exc:
+                raise SchemaError(str(exc)) from exc
+        table[mask] = image
     return SetValuedMap(frame, space, tuple(table))
 
 

@@ -474,11 +474,19 @@ def fuzz(cfg: GenConfig) -> FuzzReport:
         # imported here, so the serial path does not load the pool machinery
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         chunk = -(-cfg.trials // (4 * workers))
         context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            results = list(pool.map(runner, range(cfg.trials), chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                results = list(pool.map(runner, range(cfg.trials), chunksize=chunk))
+        except BrokenProcessPool:
+            raise AmbicalcError(
+                f"a fuzz worker process died ({workers} workers); spawned workers "
+                "re-import the calling script, so a script that runs fuzz with several "
+                'workers must keep that call under if __name__ == "__main__":'
+            ) from None
     counts = {name: [0, 0] for name in properties}
     failures = []
     for outcomes, case in results:

@@ -30,7 +30,7 @@ from .interval import (
     structure_from_assignment,
 )
 from .reports import AxiomReport, Witness, failed, passed
-from .sweeps import first_submodular_violation, smallest_witness, submodular_failure
+from .sweeps import SCAN_LIMIT, first_submodular_violation, submodular_failure
 
 Rational = Fraction
 
@@ -365,7 +365,9 @@ def fishburn_report(report: BeliefReport) -> AxiomReport:
         )
         verdicts.append(failed("α2", Witness(subset_a=hit, detail=detail)))
 
-    hit = smallest_witness(submodular_failure(scaled), first_submodular_violation, scaled)
+    hit = submodular_failure(scaled)
+    if hit is not None and size <= 1 << SCAN_LIMIT:
+        hit = first_submodular_violation(scaled, size, None)
     if hit is None:
         verdicts.append(passed("α3"))
     else:

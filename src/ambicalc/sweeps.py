@@ -3,14 +3,16 @@
 Every pair axiom here holds for all 4^m pairs exactly when a local condition
 holds (the set-valued ones act bitwise on situation masks; α3 is
 submodularity): the ``*_failure`` tests decide each axiom in O(m·2^m) (α3 in
-O(m²·2^m), a3.1 in O(m²) big-int operations per situation tested) and return
-a pair that violates it, or None.
+O(m²·2^m), a3.1 in O(m²) big-int operations per situation tested).  A
+failing set-valued test also returns the situations where its axiom fails.
 
 A failing test's pair is the witness a check reports above ``SCAN_LIMIT``
-atoms; up to it, ``smallest_witness`` swaps in the first pair of the ascending
-``first_*_violation`` scan.  Every binary axiom here is symmetric in (A, B),
-so the scans walk the unordered pairs A <= B; that covers all 4^m ordered
-pairs and still yields the lexicographically smallest witness.  The scans'
+atoms; up to it, ``smallest_witness`` swaps in the first pair A <= B of the
+ascending ``first_*_violation`` scan (every axiom here is symmetric).  A
+set-valued axiom holds iff it holds situation by situation, so those scans
+search only the failing situations, and row by row: the table packs into one
+int, and for row A one bitwise formula over the families B ↦ t(A∩B) and
+B ↦ t(A∪B) marks every B that violates the axiom with A.  The scans'
 trailing ``pairs`` argument is always None: it keeps the ``(…, size, pairs)``
 shape that their callers pass.
 """
@@ -18,9 +20,17 @@ shape that their callers pass.
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
+from functools import lru_cache, reduce
+from operator import or_
 
 # the largest frame whose failing checks scan for the smallest witness
 SCAN_LIMIT = 8
+
+# an array typecode for each item size in bytes, to pack tables at C speed
+# (slot B of a packed int is the B-th item of its little-endian bytes)
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ" if sys.byteorder == "little"}
 
 
 def derive_seed(*parts) -> int:
@@ -30,72 +40,113 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def smallest_witness(hit, scan, *tables):
-    """The witness to report for ``hit``, a test's pair or None on a pass.
+def smallest_witness(fault, scan, *tables):
+    """The witness to report for ``fault``: a set-valued test's result.
 
-    Up to ``SCAN_LIMIT`` atoms a failure reports the first pair of the
-    ascending ``scan`` over ``tables``, the smallest violating pair; above
-    it, ``hit`` itself.
+    None on a pass.  Above ``SCAN_LIMIT`` atoms a failure reports the test's
+    own pair; up to it, the first pair of the ascending ``scan`` over
+    ``tables``, the smallest violating pair.  A scan searches the situations
+    of its first table, so that table goes in cut down to the situations
+    where the axiom fails: every violating pair violates it in one of them.
     """
-    size = len(tables[0])
-    if hit is None or size > 1 << SCAN_LIMIT:
+    if fault is None:
+        return None
+    hit, within = fault
+    first, *rest = tables
+    if len(first) > 1 << SCAN_LIMIT:
         return hit
-    return scan(*tables, size, None)
+    return scan([cell & within for cell in first], *rest, len(first), None)
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _fault(faults, t):
+    """None when the iterator ``faults`` of a test's (pair, situations)
+    failures is empty, else the first pair and the union of the situations,
+    read on until it holds every situation of ``t``."""
+    hit, within = next(faults, (None, 0))
+    if hit is None:
+        return None
+    everything = reduce(or_, t, 0)
+    for _, bad in faults:
+        if within == everything:
+            break
+        within |= bad
+    return hit, within
+
+
 def union_hom_failure(t):
-    """None when t(A∪B) = t(A) ∪ t(B) for every pair, else a pair where it fails.
+    """None when t(A∪B) = t(A) ∪ t(B) for every pair, else a pair where it
+    fails and the situations where it does.
 
     Exact: that holds iff t(A) = t(A−low) ∪ t({low}) for every A ≠ ∅, where
-    ``low`` is A's lowest atom; a failure there is the pair (A−low, {low}).
+    ``low`` is A's lowest atom; the first failure there is the pair
+    (A−low, {low}).
     """
-    for a in range(1, len(t)):
-        low = a & -a
-        if t[a] != t[a ^ low] | t[low]:
-            return _pair(a ^ low, low)
-    return None
+
+    def faults():
+        for a in range(1, len(t)):
+            low = a & -a
+            joined = t[a ^ low] | t[low]
+            if t[a] != joined:
+                yield _pair(a ^ low, low), t[a] ^ joined
+
+    return _fault(faults(), t)
 
 
 def inter_hom_failure(t):
-    """None when t(A∩B) = t(A) ∩ t(B) for every pair, else a pair where it fails.
+    """None when t(A∩B) = t(A) ∩ t(B) for every pair, else a pair where it
+    fails and the situations where it does.
 
     The dual of ``union_hom_failure``: it holds iff t(A) = t(A+x) ∩ t(Θ−x) for
-    every A ≠ Θ, where ``x`` is the lowest atom outside A; a failure there is
-    the pair (A+x, Θ−x), whose intersection is A.
+    every A ≠ Θ, where ``x`` is the lowest atom outside A; the first failure
+    there is the pair (A+x, Θ−x), whose intersection is A.
     """
     full = len(t) - 1
-    for a in range(full):
-        x = ~a & (a + 1)
-        if t[a] != t[a | x] & t[full ^ x]:
-            return _pair(a | x, full ^ x)
-    return None
+
+    def faults():
+        for a in range(full):
+            x = ~a & (a + 1)
+            met = t[a | x] & t[full ^ x]
+            if t[a] != met:
+                yield _pair(a | x, full ^ x), t[a] ^ met
+
+    return _fault(faults(), t)
 
 
 def monotone_failure(t):
-    """None when A ⊆ B implies t(A) ⊆ t(B), else a pair (A−x, A) where it fails.
+    """None when A ⊆ B implies t(A) ⊆ t(B), else a pair (A−x, A) where it
+    fails and the situations where it does.
 
     Monotonicity is exactly the intersection bound t(A∩B) ⊆ t(A) ∩ t(B) and
     the union bound t(A) ∪ t(B) ⊆ t(A∪B) over all pairs, and it holds iff
-    t(A−x) ⊆ t(A) for every A and every atom x of A.
+    t(A−x) ⊆ t(A) for every A and every atom x of A; the first failure is at
+    the lowest A and its lowest such x.
     """
-    for a in range(1, len(t)):
-        ta = t[a]
-        rest = a
-        while rest:
-            x = rest & -rest
-            if t[a ^ x] & ~ta:
-                return a ^ x, a
-            rest ^= x
-    return None
+
+    def faults():
+        for a, ta in enumerate(t):
+            below = 0  # ∪ t(A−x) over the atoms x of A
+            rest = a
+            while rest:
+                x = rest & -rest
+                below |= t[a ^ x]
+                rest ^= x
+            if below & ~ta:
+                low = next(
+                    1 << k for k in range(a.bit_length()) if a >> k & 1 and t[a ^ 1 << k] & ~ta
+                )
+                yield (a ^ low, a), below & ~ta
+
+    return _fault(faults(), t)
 
 
 def overlap_failure(t):
     """None when the images are pairwise disjoint, else the two lowest subsets
-    whose images share the lowest situation counted twice.
+    whose images share the lowest situation counted twice, and every
+    situation counted twice.
 
     Exact: the images are disjoint iff their popcounts add up to the popcount
     of their union.
@@ -112,7 +163,7 @@ def overlap_failure(t):
         seen |= cell
     w = twice & -twice
     a, b = [k for k, cell in enumerate(t) if cell & w][:2]
-    return a, b
+    return (a, b), twice
 
 
 def split_form_misses(t) -> int:
@@ -134,36 +185,36 @@ def split_form_misses(t) -> int:
 
 
 def _or_zeta(t, up: bool = False) -> list:
-    """out[A] = ∪ t(B) over the B ⊆ A, or over the B ⊇ A when ``up``."""
-    out = list(t)
-    bit = 1
-    while bit < len(out):
-        if up:
-            out = [v if a & bit else v | out[a | bit] for a, v in enumerate(out)]
-        else:
-            out = [v | out[a ^ bit] if a & bit else v for a, v in enumerate(out)]
-        bit <<= 1
-    return out
+    """out[A] = ∪ t(B) over the B ⊆ A, or over the B ⊇ A when ``up``: per
+    atom x, every slot without x takes in the one with x, or the reverse."""
+    low, width = _layout(t)
+    if low < 0:
+        return list(t)
+    out = _pack(t, low, width)
+    _, has, without = _slot_masks(len(t).bit_length() - 1, 8 * width)
+    for x, (hold, miss) in enumerate(zip(has, without)):
+        shift = 8 * width << x
+        out |= (out & hold) >> shift if up else (out & miss) << shift
+    return _unpack(out, len(t), low, width)
 
 
 def mixed_inter_failure(t):
     """None when t(A∩B) ∩ t(A∪B) ⊆ t(A) ∩ t(B) for every pair, else a pair
-    where it fails.
+    where it fails and the situations where it does.
 
     Exact: per situation ω the subsets whose image holds ω must be
     order-convex, that is ∪_{C⊆A} t(C) ∩ ∪_{D⊇A} t(D) ⊆ t(A) for every A.
     For the lowest failing A and its lowest bad ω, take the lowest C ⊆ A and
     D ⊇ A whose images hold ω: the pair (A, C ∪ (D−A)) has meet C and join D.
     """
-    below, above = _or_zeta(t), _or_zeta(t, up=True)
-    for a, ta in enumerate(t):
-        bad = below[a] & above[a] & ~ta
-        if bad:
-            w = bad & -bad
-            c = next(c for c in range(a) if not c & ~a and t[c] & w)
-            d = next(d for d in range(a, len(t)) if not a & ~d and t[d] & w)
-            return _pair(a, c | (d & ~a))
-    return None
+    bad = [lo & up & ~ta for lo, up, ta in zip(_or_zeta(t), _or_zeta(t, up=True), t)]
+    within = reduce(or_, bad, 0)
+    if not within:
+        return None
+    a, w = next((a, miss & -miss) for a, miss in enumerate(bad) if miss)
+    c = next(c for c in range(a) if not c & ~a and t[c] & w)
+    d = next(d for d in range(a, len(t)) if not a & ~d and t[d] & w)
+    return _pair(a, c | (d & ~a)), within
 
 
 def _lowest(family: int) -> int:
@@ -229,7 +280,8 @@ def _sublattice_failure(family: int, has: list) -> tuple[int, int] | None:
 
 def mixed_union_failure(t, misses=None):
     """None when t(A∩B) ∪ t(A∪B) ⊆ t(A) ∪ t(B) for every pair, else a pair
-    where it fails.
+    where it fails and the situations where the split form fails, which
+    hold every situation where it does.
 
     Exact: per situation ω the subsets whose image misses ω must be closed
     under ∪ and ∩.  Only a situation where the split form fails can break
@@ -239,19 +291,17 @@ def mixed_union_failure(t, misses=None):
     """
     size = len(t)
     everything = (1 << size) - 1
-    has = []  # the subsets holding atom x: 2^x bits clear, 2^x set, repeated
-    for x in range(size.bit_length() - 1):
-        half = 1 << x
-        has.append((((1 << half) - 1) << half) * everything // ((1 << 2 * half) - 1))
+    has = _slot_masks(size.bit_length() - 1, 1)[1]  # the subsets holding atom x
     if misses is None:
         misses = split_form_misses(t)
-    while misses:
-        w = _lowest(misses)
-        misses &= misses - 1
+    rest = misses
+    while rest:
+        w = _lowest(rest)
+        rest &= rest - 1
         holding = int("".join("01"[cell >> w & 1] for cell in reversed(t)), 2)
         hit = _sublattice_failure(everything ^ holding, has)
         if hit is not None:
-            return hit
+            return hit, misses
     return None
 
 
@@ -282,59 +332,116 @@ def submodular_failure(t):
 
 def compat_failure(amb, inc):
     """None when a(A) ∪ a(B) ⊆ i(A∪B) ∪ a(A∪B) for every pair, else a pair
-    (A, U) with A ⊆ U where it fails.
+    (A, U) with A ⊆ U where it fails and the situations where it does.
 
     Exact for any two tables: that holds iff ∪_{A⊆U} a(A) ⊆ i(U) ∪ a(U) for
     every U, and the left side is the OR-zeta transform of ``amb``.
     """
-    below = _or_zeta(amb)
-    for u, cell in enumerate(below):
-        bad = cell & ~(inc[u] | amb[u])
-        if bad:
-            w = bad & -bad
-            a = next(a for a in range(u + 1) if not a & ~u and amb[a] & w)
-            return a, u
+    bad = [cell & ~(i | a) for cell, i, a in zip(_or_zeta(amb), inc, amb)]
+    within = reduce(or_, bad, 0)
+    if not within:
+        return None
+    u, w = next((u, miss & -miss) for u, miss in enumerate(bad) if miss)
+    return (next(a for a in range(u + 1) if not a & ~u and amb[a] & w), u), within
+
+
+def _layout(t) -> tuple[int, int]:
+    """(low, width): slots of ``width`` bytes, a power of two, hold the
+    situations of table ``t`` from its lowest, ``low`` (-1 when it has none)."""
+    within = reduce(or_, t, 0)
+    low = _lowest(within)
+    return low, 1 << (-(-(within.bit_length() - low) // 8) - 1).bit_length()
+
+
+def _pack(cells, low: int, width: int) -> int:
+    """The table ``cells`` as one int, entry B shifted down by ``low`` in the
+    ``width``-byte slot B; an array packs it up to 8 bytes a slot."""
+    cells = [cell >> low for cell in cells] if low else cells
+    if width in _TYPECODES:
+        return int.from_bytes(array(_TYPECODES[width], cells), "little")
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cells]), "little")
+
+
+def _unpack(packed: int, size: int, low: int, width: int) -> list:
+    """The ``size`` entries of a table packed by ``_pack``."""
+    raw = packed.to_bytes(size * width, "little")
+    if width in _TYPECODES:
+        cells = array(_TYPECODES[width], raw).tolist()
+    else:
+        cells = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    return [cell << low for cell in cells] if low else cells
+
+
+@lru_cache(maxsize=4)
+def _slot_masks(m: int, k: int) -> tuple[int, list, list]:
+    """For an int of 2^m slots of k bits, slot B at bit B·k: the int with a
+    1 at the bottom of every slot, and for each atom x the ints with every
+    bit set in the slots of the subsets that hold x and of those that don't."""
+    total = k << m
+
+    def repeat(block, period):  # doubling, as long division is quadratic
+        while period < total:
+            block |= block << period
+            period <<= 1
+        return block
+
+    without = [repeat((1 << (k << x)) - 1, 2 * k << x) for x in range(m)]
+    return repeat(1, k), [(1 << total) - 1 ^ w for w in without], without
+
+
+def _first_in_families(t, size, rule, meets=False, joins=False, joined=None):
+    """The first (A, B), A <= B in ascending order, where ``rule(Â, S, M, J)``
+    marks slot B, or None.
+
+    S is ``t`` packed into slots, Â row A's slot copied into every slot, and
+    M and J the families B ↦ t(A∩B) and B ↦ t(A∪B) when ``meets`` and
+    ``joins`` ask for them; J is taken of t ∪ ``joined`` when it is given.  A
+    slot holds the situations from the lowest of ``t``'s up to its highest,
+    in a power-of-two number of bytes, so that up to 64 situations the
+    tables pack as arrays.
+    """
+    low, width = _layout(t)
+    if low < 0:
+        return None
+    k, slot = 8 * width, (1 << 8 * width) - 1
+    ones, has, without = _slot_masks(size.bit_length() - 1, k)
+    table = union = _pack(t, low, width)
+    if joined is not None:
+        union = _pack([(x | y) & slot << low for x, y in zip(t, joined)], low, width)
+    for a in range(size):
+        meet, join = table, union
+        for x, (hold, miss) in enumerate(zip(has, without)):
+            if a >> x & 1:
+                if joins:
+                    kept = join & hold
+                    join = kept | kept >> (k << x)
+            elif meets:
+                kept = meet & miss
+                meet = kept | kept << (k << x)
+        marks = rule((table >> a * k & slot) * ones, table, meet, join) >> a * k
+        if marks:
+            return a, a + _lowest(marks) // k
     return None
 
 
 def first_union_hom_violation(t, size, pairs):
     """First (A, B) with t(A∪B) != t(A) ∪ t(B)."""
-    for a in range(size):
-        ta = t[a]
-        for b in range(a, size):
-            if t[a | b] != ta | t[b]:
-                return a, b
-    return None
+    return _first_in_families(t, size, lambda row, s, meet, join: join ^ (row | s), joins=True)
 
 
 def first_inter_hom_violation(t, size, pairs):
     """First (A, B) with t(A∩B) != t(A) ∩ t(B)."""
-    for a in range(size):
-        ta = t[a]
-        for b in range(a, size):
-            if t[a & b] != ta & t[b]:
-                return a, b
-    return None
+    return _first_in_families(t, size, lambda row, s, meet, join: meet ^ (row & s), meets=True)
 
 
 def first_inter_bound_violation(t, size, pairs):
     """First (A, B) with t(A∩B) ⊄ t(A) ∩ t(B)."""
-    for a in range(size):
-        ta = t[a]
-        for b in range(a, size):
-            if t[a & b] & ~(ta & t[b]):
-                return a, b
-    return None
+    return _first_in_families(t, size, lambda row, s, meet, join: meet & ~(row & s), meets=True)
 
 
 def first_union_bound_violation(t, size, pairs):
     """First (A, B) with t(A) ∪ t(B) ⊄ t(A∪B)."""
-    for a in range(size):
-        ta = t[a]
-        for b in range(a, size):
-            if (ta | t[b]) & ~t[a | b]:
-                return a, b
-    return None
+    return _first_in_families(t, size, lambda row, s, meet, join: (row | s) & ~join, joins=True)
 
 
 def first_overlap_violation(t, size, pairs):
@@ -351,33 +458,23 @@ def first_overlap_violation(t, size, pairs):
 
 def first_mixed_union_violation(t, size, pairs):
     """First (A, B) with t(A∩B) ∪ t(A∪B) ⊄ t(A) ∪ t(B)."""
-    for a in range(size):
-        ta = t[a]
-        for b in range(a, size):
-            if (t[a & b] | t[a | b]) & ~(ta | t[b]):
-                return a, b
-    return None
+    return _first_in_families(
+        t, size, lambda row, s, meet, join: (meet | join) & ~(row | s), meets=True, joins=True
+    )
 
 
 def first_mixed_inter_violation(t, size, pairs):
     """First (A, B) with t(A∩B) ∩ t(A∪B) ⊄ t(A) ∩ t(B)."""
-    for a in range(size):
-        ta = t[a]
-        for b in range(a, size):
-            if t[a & b] & t[a | b] & ~(ta & t[b]):
-                return a, b
-    return None
+    return _first_in_families(
+        t, size, lambda row, s, meet, join: meet & join & ~(row & s), meets=True, joins=True
+    )
 
 
 def first_compat_violation(amb, inc, size, pairs):
     """First (A, B) with a(A) ∪ a(B) ⊄ i(A∪B) ∪ a(A∪B)."""
-    for a in range(size):
-        ta = amb[a]
-        for b in range(a, size):
-            u = a | b
-            if (ta | amb[b]) & ~(inc[u] | amb[u]):
-                return a, b
-    return None
+    return _first_in_families(
+        amb, size, lambda row, s, meet, join: (row | s) & ~join, joins=True, joined=inc
+    )
 
 
 def first_submodular_violation(t, size, pairs):

@@ -1,0 +1,136 @@
+"""``check`` and ``compose`` output, byte for byte, on a seeded m=1–9 corpus.
+
+Every document here is made by this module from its seed: a random basic
+assignment, its lower and upper tables and their gap, each written valid and
+with 1, 2 and 3 flipped bits.  Each m has one SHA-256 digest over the exit
+code and output of ``check --format text|json`` on every document, and of
+``compose`` on incompatible incidence/ambiguity pairs.  The digests were
+recorded with the ascending pair scans as the witness search, so they pin
+every verdict, witness and detail text of the faster search; m=9 is above
+the scan limit, where a witness is the pair the exact test derives.
+
+    PYTHONPATH=src python tests/test_check_digests.py
+
+prints the digests of the program on the path.
+"""
+
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from ambicalc.cli import run_command
+
+EXPECTED = {
+    1: "61302e0efd7df79df6c80fd22af09ec3eced1d3ead083ad64c9050a91b705016",
+    2: "4d2795129d0a89e3cc51ca75fbcfbe37af522bf034b21c934c9eab5c25301678",
+    3: "c8189ce4d04e32ad052de43ce49ec8d2243a18d4665c20ba95200ac2af975779",
+    4: "a3cab344cfc44229573cca4f7a05a6ae778325d04f3d872d742d7860c3c0e2d4",
+    5: "ed4c501489de7290bf2e62278894323915fa4e75d85e8e13a1d8cf987a78d131",
+    6: "59261c756eaaca6258f19e5efd734fd9190aa63315d5bd7e9ccc3c803bf73a41",
+    7: "f7f1d1eb95749178518140a271412033e008e04bf002ef24fecf686b065bd515",
+    8: "80f3543877b928f1a0bc83c9ac937700a39c6612c2fe0ff5ebd2069a3c11d2cf",
+    9: "76a2b83c38a6c18e7e7ae96e4c6399d748b2e7b327648961efecee707d55cb59",
+}
+
+SEEDS = 6
+SITUATIONS = (1, 10, 64)
+
+
+def members(mask, names):
+    return [name for k, name in enumerate(names) if mask >> k & 1]
+
+
+def body(table, atoms, sits):
+    return {",".join(members(a, atoms)): members(t, sits) for a, t in enumerate(table) if t}
+
+
+def write(path, kind, atoms, sits, payload):
+    doc = {"kind": kind, "atoms": atoms, "situations": sits, "body": payload}
+    path.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def tables(m, n, rng):
+    """Cells, lower, upper and gap tables of a random basic assignment."""
+    size = 1 << m
+    cells = [0] * size
+    for w in range(n):
+        cells[rng.randrange(1, size)] |= 1 << w
+    lower = list(cells)
+    for k in range(m):
+        for a in range(size):
+            if a >> k & 1:
+                lower[a] |= lower[a ^ 1 << k]
+    omega = (1 << n) - 1
+    upper = [omega ^ lower[size - 1 ^ a] for a in range(size)]
+    gap = [u & ~lo for lo, u in zip(lower, upper)]
+    return cells, lower, upper, gap
+
+
+def flipped(table, n, flips, rng):
+    out = list(table)
+    for _ in range(flips):
+        out[rng.randrange(len(out))] ^= 1 << rng.randrange(n)
+    return out
+
+
+def calls(m, workdir):
+    """Every argv of m's corpus, with the documents written to ``workdir``."""
+    atoms = [f"x{k + 1}" for k in range(m)]
+    for seed in range(SEEDS):
+        n = SITUATIONS[seed % len(SITUATIONS)]
+        sits = [f"w{k + 1}" for k in range(n)]
+        rng = random.Random(f"check-digests/{m}/{seed}")
+        cells, lower, upper, gap = tables(m, n, rng)
+        for flips in range(4):
+            stem = workdir / f"m{m}-s{seed}-f{flips}"
+            side = rng.randrange(2)
+            lo = flipped(lower, n, flips if side else 0, rng)
+            up = flipped(upper, n, 0 if side else flips, rng)
+            docs = [
+                write(stem.with_suffix(".assignment.json"), "assignment", atoms, sits,
+                      body(flipped(cells, n, flips, rng), atoms, sits)),
+                write(stem.with_suffix(".interval.json"), "interval", atoms, sits,
+                      {"lower": body(lo, atoms, sits), "upper": body(up, atoms, sits)}),
+                write(stem.with_suffix(".ambiguity.json"), "ambiguity", atoms, sits,
+                      body(flipped(gap, n, flips, rng), atoms, sits)),
+            ]
+            for doc in docs:
+                for fmt in ("text", "json"):
+                    yield ["check", doc, "--format", fmt]
+        # a point map drawn apart from the assignment is rarely compatible
+        # with its gap; a flipped gap fails the ambiguity guard first
+        points = {w: rng.choice(atoms) for w in sits}
+        payload = {"kind": "incidence", "atoms": atoms, "situations": sits, "body": points}
+        incidence = workdir / f"m{m}-s{seed}.incidence.json"
+        incidence.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        for flips in (0, 1):
+            amb = write(workdir / f"m{m}-s{seed}-c{flips}.ambiguity.json", "ambiguity",
+                        atoms, sits, body(flipped(gap, n, flips, rng), atoms, sits))
+            yield ["compose", str(incidence), amb]
+
+
+def digest(m, workdir):
+    sha = hashlib.sha256()
+    for argv in calls(m, workdir):
+        code, out = run_command(argv)
+        label = [Path(arg).name if arg.endswith(".json") else arg for arg in argv]
+        sha.update(json.dumps([label, code, out.replace(str(workdir), "")]).encode("utf-8"))
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("m", sorted(EXPECTED))
+def test_check_and_compose_output_is_unchanged(m, tmp_path):
+    assert digest(m, tmp_path) == EXPECTED[m]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for m in sorted(EXPECTED):
+            print(f"    {m}: \"{digest(m, Path(tmp))}\",")
+    sys.exit(0)

@@ -163,3 +163,60 @@ def test_fixture_files_are_canonical():
 def test_render_document_trailing_newline(fix1):
     text = render_document(document_for(fix1["j"]))
     assert text.endswith("}\n")
+
+
+# --- bad subset keys and images: the same error class and text in every map body
+
+BAD_KEYS = [
+    (",x1", SchemaError, "unknown element ''"),
+    ("x1,", SchemaError, "unknown element ''"),
+    ("x2,x1", ParseError, "subset key 'x2,x1' is not in canonical atom order"),
+    ("x1,x1", ParseError, "subset key 'x1,x1' is not in canonical atom order"),
+    ("x1,,x2", SchemaError, "unknown element ''"),
+    ("x1,x4", SchemaError, "unknown element 'x4'"),
+]
+BAD_IMAGES = [
+    ("w1", "image of 'x1,x3' must be a list of situation names"),
+    ({"w1": 1}, "image of 'x1,x3' must be a list of situation names"),
+    (["w9"], "unknown element 'w9'"),
+    (["w1", "w1"], "element 'w1' listed twice"),
+    ([["w1"]], "unknown element ['w1']"),
+    ([1], "unknown element 1"),
+]
+PLACES = ["assignment", "lower", "upper", "ambiguity"]
+
+
+def body_document(place, key, image):
+    """A document whose ``place`` body holds ∅, x1, x2 and x1,x2 (so that a
+    bad key can extend a key already read), then ``key`` with ``image``."""
+    body = {"": ["w1"], "x1": ["w1"], "x2": ["w2"], "x1,x2": ["w1"], key: image}
+    head = {"atoms": ["x1", "x2", "x3"], "situations": ["w1", "w2"]}
+    if place in ("assignment", "ambiguity"):
+        return json.dumps({"kind": place, **head, "body": body})
+    maps = {"lower": {}, "upper": {}}
+    maps[place] = body
+    return json.dumps({"kind": "interval", **head, "body": maps})
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("key, error, text", BAD_KEYS)
+def test_bad_subset_keys_are_named(place, key, error, text):
+    with pytest.raises(error) as err:
+        loads(body_document(place, key, ["w1"]))
+    assert type(err.value) is error
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("image, text", BAD_IMAGES)
+def test_bad_images_are_named(place, image, text):
+    with pytest.raises(SchemaError) as err:
+        loads(body_document(place, "x1,x3", image))
+    assert type(err.value) is SchemaError
+    assert str(err.value) == text
+
+
+def test_keys_in_any_order_parse_to_the_same_table(fix1):
+    doc = document_for(fix1["j"])
+    shuffled = dict(doc, body=dict(reversed(list(doc["body"].items()))))
+    assert loads(json.dumps(shuffled))[1] == fix1["j"]

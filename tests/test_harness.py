@@ -1,7 +1,9 @@
 import concurrent.futures
 import hashlib
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +289,26 @@ def test_shrink_finds_small_witness():
     small = _shrink_map(m, still_fails)
     assert small.space.n < sp.n or small.frame.m < fr.m
     assert still_fails(small)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU caps the fuzz at one worker")
+def test_unguarded_script_with_workers_gets_an_error_naming_the_guard(tmp_path):
+    """Each spawned worker re-runs the script, whose fuzz call then fails to
+    start workers of its own, so the pool breaks after at most two starts."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from ambicalc.harness import GenConfig, fuzz\n"
+        "fuzz(GenConfig(m=2, n=2, trials=2))\n",
+        encoding="utf-8",
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "AMBIG_THREADS": "2", "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 1
+    # the workers' own tracebacks share stderr and may come after this line
+    prefix = "ambicalc.errors.AmbicalcError: a fuzz worker process died"
+    error = next(line for line in done.stderr.splitlines() if line.startswith(prefix))
+    assert 'if __name__ == "__main__":' in error
+    assert "BrokenProcessPool:" not in done.stderr

@@ -1,4 +1,5 @@
-"""The exact pair-axiom tests against the ascending scans and the oracle.
+"""The exact pair-axiom tests and the witness scans against the ascending
+pair walks and the oracle.
 
 Each ``*_failure`` test in ``ambicalc.sweeps`` decides a pair axiom from a
 local condition.  Here every 1-situation table of a small frame is run
@@ -6,7 +7,9 @@ through both the test and the full scan, seeded multi-situation tables at
 m ∈ {6, 8} through the checkers and the oracle, and tables at m ∈ {9, 12, 16},
 where the oracle is out of reach, through the checkers alone, with every
 reported witness re-verified from the axiom's formula.  Small tables lifted
-to m ∈ {9, 12} carry their scanned a3.1/a3.2 verdicts with them.
+to m ∈ {9, 12} carry their scanned a3.1/a3.2 verdicts with them.  The
+``first_*_violation`` scans, which search situation families, must name the
+same pair as the O(4^m) ascending walks kept here as the reference.
 """
 
 import random
@@ -49,6 +52,7 @@ from ambicalc.sweeps import (
     mixed_union_failure,
     monotone_failure,
     overlap_failure,
+    smallest_witness,
     split_form_misses,
     submodular_failure,
     union_hom_failure,
@@ -70,10 +74,60 @@ def compat_violated(amb, inc, a, b):
     return (amb[a] | amb[b]) & ~(inc[u] | amb[u]) != 0
 
 
+def ascending_walk(violated):
+    """The reference scan: the first (A, B), A <= B, in ascending order for
+    which ``violated(*tables, A, B)`` holds, found by walking every pair."""
+
+    def walk(*tables):
+        size = len(tables[0])
+        for a in range(size):
+            for b in range(a, size):
+                if violated(*tables, a, b):
+                    return a, b
+        return None
+
+    return walk
+
+
+# (local test, family scan, formula) of each set-valued pair axiom on one
+# table, and the same for compatibility on an (amb, inc) pair
+TABLE_SCANS = {
+    "f̄3": (union_hom_failure, first_union_hom_violation, UNION_HOM),
+    "f3": (inter_hom_failure, first_inter_hom_violation, INTER_HOM),
+    "f̄4": (monotone_failure, first_inter_bound_violation, INTER_BOUND),
+    "f4": (monotone_failure, first_union_bound_violation, UNION_BOUND),
+    "a3.1": (mixed_union_failure, first_mixed_union_violation, MIXED_UNION),
+    "a3.2": (mixed_inter_failure, first_mixed_inter_violation, MIXED_INTER),
+}
+COMPAT_SCAN = (compat_failure, first_compat_violation, compat_violated)
+
+
+def assert_same_witness(axiom, scans, *tables):
+    """The local test fails exactly when the reference walk finds a pair,
+    with a pair that violates the axiom, and the family scan names the
+    walk's pair: called directly, and as a checker calls it, on the tables
+    cut down to the situations the test reports."""
+    test, scan, formula = scans
+    expected = ascending_walk(formula)(*tables)
+    assert scan(*tables, len(tables[0]), None) == expected, (axiom, tables)
+    fault = test(*tables)
+    assert (fault is None) == (expected is None), (axiom, tables)
+    if fault is None:
+        return
+    assert formula(*tables, *fault[0]), (axiom, tables)
+    if any(cell & ~fault[1] for t in tables for cell in t):
+        assert smallest_witness(fault, scan, *tables) == expected, (axiom, tables)
+
+
 def one_situation_tables(m):
     size = 1 << m
     for bits in range(1 << size):
         yield tuple(bits >> a & 1 for a in range(size))
+
+
+def pair_of(fault):
+    """The pair of a set-valued test's result, or None on a pass."""
+    return fault and fault[0]
 
 
 def agrees(test, scan, formula, t):
@@ -87,18 +141,11 @@ def agrees(test, scan, formula, t):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_exact_tests_match_the_scans_on_every_one_situation_table(m):
-    pairs = (
-        (union_hom_failure, first_union_hom_violation, UNION_HOM),
-        (inter_hom_failure, first_inter_hom_violation, INTER_HOM),
-        (monotone_failure, first_inter_bound_violation, INTER_BOUND),
-        (monotone_failure, first_union_bound_violation, UNION_BOUND),
-        (overlap_failure, first_overlap_violation, OVERLAP),
-        (mixed_union_failure, first_mixed_union_violation, MIXED_UNION),
-        (mixed_inter_failure, first_mixed_inter_violation, MIXED_INTER),
-    )
+    overlap = lambda t: pair_of(overlap_failure(t))
     for t in one_situation_tables(m):
-        for test, scan, formula in pairs:
-            assert agrees(test, scan, formula, t), (test.__name__, t)
+        for axiom, scans in TABLE_SCANS.items():
+            assert_same_witness(axiom, scans, t)
+        assert agrees(overlap, first_overlap_violation, OVERLAP, t), t
 
 
 def lifted_subsets(m, big):
@@ -120,7 +167,7 @@ def test_mixed_bound_tests_keep_the_verdicts_of_lifted_tables(big):
                 (mixed_union_failure, first_mixed_union_violation, MIXED_UNION),
                 (mixed_inter_failure, first_mixed_inter_violation, MIXED_INTER),
             ):
-                hit = test(t)
+                hit = pair_of(test(t))
                 assert (hit is None) == (scan(s, len(s), None) is None), (test.__name__, s)
                 assert hit is None or formula(t, *hit), (test.__name__, s)
 
@@ -146,22 +193,16 @@ def test_split_form_is_the_conjunction_of_a1_to_a3_2(m, valid):
 def test_compat_test_matches_the_scan_on_every_pair_of_tables(m):
     tables = list(one_situation_tables(m))
     for amb, inc in product(tables, tables):
-        local = compat_failure(amb, inc)
-        scanned = first_compat_violation(amb, inc, len(amb), None)
-        assert (local is None) == (scanned is None), (amb, inc)
-        assert local is None or compat_violated(amb, inc, *local)
+        assert_same_witness("compatibility", COMPAT_SCAN, amb, inc)
 
 
 def test_compat_test_matches_the_scan_at_four_atoms():
     """Every 1-situation ambiguity table against the incidence map of the
     point map onto x1; relabeling the atoms carries these pairs onto those of
     every other point map."""
-    size = 16
-    inc = tuple(a & 1 for a in range(size))
+    inc = tuple(a & 1 for a in range(16))
     for amb in one_situation_tables(4):
-        local = compat_failure(amb, inc)
-        assert (local is None) == (first_compat_violation(amb, inc, size, None) is None)
-        assert local is None or compat_violated(amb, inc, *local)
+        assert_same_witness("compatibility", COMPAT_SCAN, amb, inc)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -254,6 +295,43 @@ def test_checkers_agree_with_the_oracle_witness_for_witness(m, n, seed):
         report = check(obj)
         assert report.ok == (k % 2 == 0)
         assert report.agreement_key() == oracle_verify(obj).agreement_key()
+
+
+@pytest.mark.parametrize("m", [6, 8])
+@pytest.mark.parametrize("n", [1, 10, 64])
+def test_family_scans_name_the_smallest_pair_on_seeded_faults(m, n):
+    """Valid lower, upper, gap and incidence tables with 0 to 3 flipped bits."""
+    rng = random.Random(f"{m}/{n}")
+    for flips in (0, 1, 2, 3):
+        _, lower, upper = valid_tables(m, n, rng)
+        gap = [u & ~lo for lo, u in zip(lower, upper)]
+        inc = incidence_from_pointmap(
+            PointMap(tuple(rng.randrange(m) for _ in range(n))), *universes(m, n)
+        ).map.table
+        bad = {}
+        for name, table in (("lower", lower), ("upper", upper), ("amb", gap), ("inc", inc)):
+            bad[name] = table
+            for _ in range(flips):
+                bad[name] = flip(bad[name], n, rng)
+        for axiom, scans in TABLE_SCANS.items():
+            assert_same_witness(axiom, scans, bad[PAIR_FORMULAS[axiom][0]])
+        for axiom in ("f̄3", "f3"):
+            assert_same_witness(axiom, TABLE_SCANS[axiom], bad["inc"])
+        assert_same_witness("compatibility", COMPAT_SCAN, gap, bad["inc"])
+        assert_same_witness("compatibility", COMPAT_SCAN, bad["amb"], inc)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_family_scans_name_the_smallest_pair_on_random_tables(m):
+    """Random tables, 100 situations wide too: more than 8 bytes a slot."""
+    rng = random.Random(m)
+    for n in (1, 3, 64, 100):
+        for _ in range(4):
+            t = [rng.getrandbits(n) for _ in range(1 << m)]
+            for axiom, scans in TABLE_SCANS.items():
+                assert_same_witness(axiom, scans, t)
+            inc = [rng.getrandbits(n) for _ in range(1 << m)]
+            assert_same_witness("compatibility", COMPAT_SCAN, t, inc)
 
 
 # --- above the scan limit: no oracle, so re-verify every witness
