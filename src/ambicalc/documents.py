@@ -115,7 +115,7 @@ def _parse_map_body(body, frame: Frame, space: SituationSpace) -> SetValuedMap:
     if not isinstance(body, dict):
         raise SchemaError("body must be an object")
     table = [0] * (1 << frame.m)
-    atom_bit, situation_bit = frame._bit.get, space._bit.__getitem__
+    atom_bit = frame._bit.get
     seen = {}  # the nonempty keys read so far, with their masks
     for key, value in body.items():
         # most keys are a key read before, or none, plus a higher atom; any
@@ -129,16 +129,9 @@ def _parse_map_body(body, frame: Frame, space: SituationSpace) -> SetValuedMap:
         if not isinstance(value, list):
             raise SchemaError(f"image of {key!r} must be a list of situation names")
         try:
-            image = sum(map(situation_bit, value))
-        except (KeyError, TypeError):
-            image = None
-        # distinct bits sum to their union; a repeated one carries
-        if image is None or image.bit_count() != len(value):
-            try:
-                image = space.encode(value)
-            except (UnknownElement, DuplicateElement) as exc:
-                raise SchemaError(str(exc)) from exc
-        table[mask] = image
+            table[mask] = space.encode(value)
+        except (UnknownElement, DuplicateElement) as exc:
+            raise SchemaError(str(exc)) from exc
     return SetValuedMap(frame, space, tuple(table))
 
 

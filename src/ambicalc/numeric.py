@@ -30,7 +30,7 @@ from .interval import (
     structure_from_assignment,
 )
 from .reports import AxiomReport, Witness, failed, passed
-from .sweeps import SCAN_LIMIT, first_submodular_violation, submodular_failure
+from .sweeps import first_submodular_violation, smallest_witness, submodular_failure
 
 Rational = Fraction
 
@@ -365,9 +365,8 @@ def fishburn_report(report: BeliefReport) -> AxiomReport:
         )
         verdicts.append(failed("α2", Witness(subset_a=hit, detail=detail)))
 
-    hit = submodular_failure(scaled)
-    if hit is not None and size <= 1 << SCAN_LIMIT:
-        hit = first_submodular_violation(scaled, size, None)
+    fault = (submodular_failure(scaled), None)  # α3 is not set-valued: no situations
+    hit = smallest_witness(fault, first_submodular_violation, scaled)
     if hit is None:
         verdicts.append(passed("α3"))
     else:

@@ -4,7 +4,9 @@ Every pair axiom here holds for all 4^m pairs exactly when a local condition
 holds (the set-valued ones act bitwise on situation masks; α3 is
 submodularity): the ``*_failure`` tests decide each axiom in O(m·2^m) (α3 in
 O(m²·2^m), a3.1 in O(m²) big-int operations per situation tested).  A
-failing set-valued test also returns the situations where its axiom fails.
+failing set-valued test also returns the situations where its axiom fails;
+the walks behind f̄3–f4 give None where those would cut nothing from the
+table (see ``_fault``).
 
 A failing test's pair is the witness a check reports above ``SCAN_LIMIT``
 atoms; up to it, ``smallest_witness`` swaps in the first pair A <= B of the
@@ -20,17 +22,12 @@ shape that their callers pass.
 from __future__ import annotations
 
 import hashlib
-import sys
-from array import array
 from functools import lru_cache, reduce
+from itertools import chain, repeat
 from operator import or_
 
 # the largest frame whose failing checks scan for the smallest witness
 SCAN_LIMIT = 8
-
-# an array typecode for each item size in bytes, to pack tables at C speed
-# (slot B of a packed int is the B-th item of its little-endian bytes)
-_TYPECODES = {array(code).itemsize: code for code in "BHILQ" if sys.byteorder == "little"}
 
 
 def derive_seed(*parts) -> int:
@@ -41,21 +38,25 @@ def derive_seed(*parts) -> int:
 
 
 def smallest_witness(fault, scan, *tables):
-    """The witness to report for ``fault``: a set-valued test's result.
+    """The witness to report for ``fault``, a test's None or (pair,
+    situations).
 
     None on a pass.  Above ``SCAN_LIMIT`` atoms a failure reports the test's
     own pair; up to it, the first pair of the ascending ``scan`` over
-    ``tables``, the smallest violating pair.  A scan searches the situations
-    of its first table, so that table goes in cut down to the situations
-    where the axiom fails: every violating pair violates it in one of them.
+    ``tables``, the smallest violating pair.  A set-valued scan searches the
+    situations of its first table, so that table goes in cut down to the
+    situations where the axiom fails: every violating pair violates it in one
+    of them.  None for the situations cuts nothing: a test reports it where
+    a cut would remove nothing, and for α3, which does not act situation by
+    situation.
     """
-    if fault is None:
-        return None
-    hit, within = fault
+    hit, within = fault or (None, None)
     first, *rest = tables
-    if len(first) > 1 << SCAN_LIMIT:
+    if hit is None or len(first) > 1 << SCAN_LIMIT:
         return hit
-    return scan([cell & within for cell in first], *rest, len(first), None)
+    if within is not None:
+        first = [cell & within for cell in first]
+    return scan(first, *rest, len(first), None)
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -63,18 +64,22 @@ def _pair(a: int, b: int) -> tuple[int, int]:
 
 
 def _fault(faults, t):
-    """None when the iterator ``faults`` of a test's (pair, situations)
-    failures is empty, else the first pair and the union of the situations,
-    read on until it holds every situation of ``t``."""
+    """None when the iterator ``faults`` of a test's (failure, situations)
+    is empty, else the first failure and the union of the situations,
+    read on until it holds every situation of ``t``.  The union is None when
+    it would cut nothing: when it holds them all, and above ``SCAN_LIMIT``
+    atoms, where no scan reads it and the walk stops at the first failure."""
     hit, within = next(faults, (None, 0))
     if hit is None:
         return None
+    if len(t) > 1 << SCAN_LIMIT:
+        return hit, None
     everything = reduce(or_, t, 0)
     for _, bad in faults:
         if within == everything:
             break
         within |= bad
-    return hit, within
+    return hit, None if within == everything else within
 
 
 def union_hom_failure(t):
@@ -135,12 +140,14 @@ def monotone_failure(t):
                 below |= t[a ^ x]
                 rest ^= x
             if below & ~ta:
-                low = next(
-                    1 << k for k in range(a.bit_length()) if a >> k & 1 and t[a ^ 1 << k] & ~ta
-                )
-                yield (a ^ low, a), below & ~ta
+                yield a, below & ~ta
 
-    return _fault(faults(), t)
+    fault = _fault(faults(), t)
+    if fault is None:
+        return None
+    a, within = fault
+    low = next(1 << k for k in range(a.bit_length()) if a >> k & 1 and t[a ^ 1 << k] & ~t[a])
+    return (a ^ low, a), within
 
 
 def overlap_failure(t):
@@ -184,18 +191,27 @@ def split_form_misses(t) -> int:
     return misses
 
 
-def _or_zeta(t, up: bool = False) -> list:
-    """out[A] = ∪ t(B) over the B ⊆ A, or over the B ⊇ A when ``up``: per
-    atom x, every slot without x takes in the one with x, or the reverse."""
-    low, width = _layout(t)
-    if low < 0:
-        return list(t)
-    out = _pack(t, low, width)
-    _, has, without = _slot_masks(len(t).bit_length() - 1, 8 * width)
-    for x, (hold, miss) in enumerate(zip(has, without)):
-        shift = 8 * width << x
-        out |= (out & hold) >> shift if up else (out & miss) << shift
-    return _unpack(out, len(t), low, width)
+def _or_zeta(packed: int, m: int, k: int, up: bool = False) -> int:
+    """A table packed in 2^m slots of k bits, slot A turned into the union of
+    the slots B ⊆ A, or B ⊇ A when ``up``: per atom x, every slot without x
+    takes in the one with x, or the reverse."""
+    for x, hold in enumerate(_kept_holding(m, k) if m <= SCAN_LIMIT else _holding(m, k)):
+        shift = k << x
+        packed |= (packed & hold) >> shift if up else (packed & ~hold) << shift
+    return packed
+
+
+def _first_bad(bad: int, size: int, low: int, k: int):
+    """None when the packed ``bad`` (``size`` slots of k bits, situations
+    from ``low``) is 0, else its first nonempty slot, that slot's lowest
+    situation and the union of every slot."""
+    if not bad:
+        return None
+    first, union = _lowest(bad), bad
+    while size > 1:  # fold the upper half of the slots onto the lower
+        size >>= 1
+        union |= union >> size * k
+    return first // k, 1 << low + first % k, (union & (1 << k) - 1) << low
 
 
 def mixed_inter_failure(t):
@@ -207,11 +223,14 @@ def mixed_inter_failure(t):
     For the lowest failing A and its lowest bad ω, take the lowest C ⊆ A and
     D ⊇ A whose images hold ω: the pair (A, C ∪ (D−A)) has meet C and join D.
     """
-    bad = [lo & up & ~ta for lo, up, ta in zip(_or_zeta(t), _or_zeta(t, up=True), t)]
-    within = reduce(or_, bad, 0)
-    if not within:
+    low, width = _layout(t)
+    if low < 0:
         return None
-    a, w = next((a, miss & -miss) for a, miss in enumerate(bad) if miss)
+    m, k, s = len(t).bit_length() - 1, 8 * width, _pack(t, low, width)
+    found = _first_bad(_or_zeta(s, m, k) & _or_zeta(s, m, k, up=True) & ~s, len(t), low, k)
+    if found is None:
+        return None
+    a, w, within = found
     c = next(c for c in range(a) if not c & ~a and t[c] & w)
     d = next(d for d in range(a, len(t)) if not a & ~d and t[d] & w)
     return _pair(a, c | (d & ~a)), within
@@ -291,7 +310,7 @@ def mixed_union_failure(t, misses=None):
     """
     size = len(t)
     everything = (1 << size) - 1
-    has = _slot_masks(size.bit_length() - 1, 1)[1]  # the subsets holding atom x
+    has = list(_holding(size.bit_length() - 1, 1))  # the subsets holding atom x
     if misses is None:
         misses = split_form_misses(t)
     rest = misses
@@ -337,56 +356,52 @@ def compat_failure(amb, inc):
     Exact for any two tables: that holds iff ∪_{A⊆U} a(A) ⊆ i(U) ∪ a(U) for
     every U, and the left side is the OR-zeta transform of ``amb``.
     """
-    bad = [cell & ~(i | a) for cell, i, a in zip(_or_zeta(amb), inc, amb)]
-    within = reduce(or_, bad, 0)
-    if not within:
+    low, width = _layout(chain(amb, inc))
+    if low < 0:
         return None
-    u, w = next((u, miss & -miss) for u, miss in enumerate(bad) if miss)
+    m, k, s = len(amb).bit_length() - 1, 8 * width, _pack(amb, low, width)
+    found = _first_bad(_or_zeta(s, m, k) & ~(_pack(inc, low, width) | s), len(amb), low, k)
+    if found is None:
+        return None
+    u, w, within = found
     return (next(a for a in range(u + 1) if not a & ~u and amb[a] & w), u), within
 
 
 def _layout(t) -> tuple[int, int]:
-    """(low, width): slots of ``width`` bytes, a power of two, hold the
-    situations of table ``t`` from its lowest, ``low`` (-1 when it has none)."""
+    """(low, width): slots of ``width`` bytes hold the situations of the
+    cells ``t`` from their lowest, ``low`` (-1 when they have none)."""
     within = reduce(or_, t, 0)
     low = _lowest(within)
-    return low, 1 << (-(-(within.bit_length() - low) // 8) - 1).bit_length()
+    return low, -(-(within.bit_length() - low) // 8)
 
 
 def _pack(cells, low: int, width: int) -> int:
     """The table ``cells`` as one int, entry B shifted down by ``low`` in the
-    ``width``-byte slot B; an array packs it up to 8 bytes a slot."""
+    ``width``-byte slot B."""
     cells = [cell >> low for cell in cells] if low else cells
-    if width in _TYPECODES:
-        return int.from_bytes(array(_TYPECODES[width], cells), "little")
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cells]), "little")
+    raw = b"".join(map(int.to_bytes, cells, repeat(width), repeat("little")))
+    return int.from_bytes(raw, "little")
 
 
-def _unpack(packed: int, size: int, low: int, width: int) -> list:
-    """The ``size`` entries of a table packed by ``_pack``."""
-    raw = packed.to_bytes(size * width, "little")
-    if width in _TYPECODES:
-        cells = array(_TYPECODES[width], raw).tolist()
-    else:
-        cells = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
-    return [cell << low for cell in cells] if low else cells
-
-
-@lru_cache(maxsize=4)
-def _slot_masks(m: int, k: int) -> tuple[int, list, list]:
-    """For an int of 2^m slots of k bits, slot B at bit B·k: the int with a
-    1 at the bottom of every slot, and for each atom x the ints with every
-    bit set in the slots of the subsets that hold x and of those that don't."""
+def _holding(m: int, k: int):
+    """For an int of 2^m slots of k bits, slot B at bit B·k: for each atom x
+    in turn, the int with every bit set in the slots of the subsets holding
+    x.  Built by doubling, as long division of such ints is quadratic."""
     total = k << m
-
-    def repeat(block, period):  # doubling, as long division is quadratic
+    for x in range(m):
+        block, period = (1 << (k << x)) - 1 << (k << x), 2 * k << x
         while period < total:
             block |= block << period
             period <<= 1
-        return block
+        yield block
 
-    without = [repeat((1 << (k << x)) - 1, 2 * k << x) for x in range(m)]
-    return repeat(1, k), [(1 << total) - 1 ^ w for w in without], without
+
+@lru_cache(maxsize=4)
+def _kept_holding(m: int, k: int) -> tuple:
+    """``_holding``, kept for the frames up to ``SCAN_LIMIT`` atoms, whose
+    scans ask for it row by row.  Above that a check builds the masks at
+    most twice, and each is k·2^m bits, so they are not kept."""
+    return tuple(_holding(m, k))
 
 
 def _first_in_families(t, size, rule, meets=False, joins=False, joined=None):
@@ -396,15 +411,16 @@ def _first_in_families(t, size, rule, meets=False, joins=False, joined=None):
     S is ``t`` packed into slots, Â row A's slot copied into every slot, and
     M and J the families B ↦ t(A∩B) and B ↦ t(A∪B) when ``meets`` and
     ``joins`` ask for them; J is taken of t ∪ ``joined`` when it is given.  A
-    slot holds the situations from the lowest of ``t``'s up to its highest,
-    in a power-of-two number of bytes, so that up to 64 situations the
-    tables pack as arrays.
+    slot holds the situations from the lowest of ``t``'s up to its highest.
     """
     low, width = _layout(t)
     if low < 0:
         return None
     k, slot = 8 * width, (1 << 8 * width) - 1
-    ones, has, without = _slot_masks(size.bit_length() - 1, k)
+    full = (1 << k * size) - 1
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * size, "little")  # a 1 in every slot
+    has = _kept_holding(size.bit_length() - 1, k)
+    without = [full ^ hold for hold in has]
     table = union = _pack(t, low, width)
     if joined is not None:
         union = _pack([(x | y) & slot << low for x, y in zip(t, joined)], low, width)

@@ -115,7 +115,7 @@ def assert_same_witness(axiom, scans, *tables):
     if fault is None:
         return
     assert formula(*tables, *fault[0]), (axiom, tables)
-    if any(cell & ~fault[1] for t in tables for cell in t):
+    if fault[1] is not None and any(cell & ~fault[1] for t in tables for cell in t):
         assert smallest_witness(fault, scan, *tables) == expected, (axiom, tables)
 
 
