@@ -4,7 +4,9 @@ Every document here is made by this module from its seed: a random basic
 assignment, its lower and upper tables and their gap, each written valid and
 with 1, 2 and 3 flipped bits.  Each m has one SHA-256 digest over the exit
 code and output of ``check --format text|json`` on every document, and of
-``compose`` on incompatible incidence/ambiguity pairs.  The digests were
+``compose`` on incompatible incidence/ambiguity pairs.  Incidence documents,
+valid and with each kind of fault a point map can have, have their own
+digest per m.  The digests were
 recorded with the ascending pair scans as the witness search, so they pin
 every verdict, witness and detail text of the faster search; m=9 is above
 the scan limit, where a witness is the pair the exact test derives.
@@ -35,6 +37,18 @@ EXPECTED = {
     7: "f7f1d1eb95749178518140a271412033e008e04bf002ef24fecf686b065bd515",
     8: "80f3543877b928f1a0bc83c9ac937700a39c6612c2fe0ff5ebd2069a3c11d2cf",
     9: "76a2b83c38a6c18e7e7ae96e4c6399d748b2e7b327648961efecee707d55cb59",
+}
+
+INCIDENCE_EXPECTED = {
+    1: "baceec18f3c9e27133b81832361dad7e0e3eb8afdc345eba5dbda951fd6c3dc5",
+    2: "af1f78d73d0956d22683952fb6c889436c6ad55da6aed0e3985de8b0bce55605",
+    3: "adfbdfde5232a7446d9fa156aeb899a6137222ef65210a458f7077fac5e7efbe",
+    4: "55bbbad08fb34c92e1a399d5a9aaafa47dcd50d11c91a35876365cf02858228e",
+    5: "ff2a210d221cbb60e4003309630e21045d5e7dfc5f0ec7bd2366f90e44cb0939",
+    6: "1e89354210811028e8ee6a3b9c2a7357aaedfd47fdc00b61312b5aa354b61912",
+    7: "3f14e18ad0f523b0c7b2ace91bf6eb17e4940bcc5c06f7bb058235dec75b6dc4",
+    8: "c1ea93dd43a3eaba1eac2767df2f67af7a8044a72697977512a593f04f57a5c4",
+    9: "1ae44b3b8d375302261d2f7e290f56c1a02ee9c09a3e4b0fa3831b5444dec57f",
 }
 
 SEEDS = 6
@@ -115,9 +129,36 @@ def calls(m, workdir):
             yield ["compose", str(incidence), amb]
 
 
-def digest(m, workdir):
+def incidence_calls(m, workdir):
+    """``check`` of m's incidence documents: each point map valid, then
+    missing a situation, sending one to an unknown atom or to a non-string,
+    and naming an unknown situation."""
+    atoms = [f"x{k + 1}" for k in range(m)]
+    for seed in range(SEEDS):
+        n = SITUATIONS[seed % len(SITUATIONS)]
+        sits = [f"w{k + 1}" for k in range(n)]
+        rng = random.Random(f"check-digests/incidence/{m}/{seed}")
+        points = {w: rng.choice(atoms) for w in sits}
+        victim = rng.choice(sits)
+        faults = {
+            "valid": {},
+            "missing": {victim: None},
+            "unknown-atom": {victim: f"x{m + 1}"},
+            "not-a-string": {victim: 1},
+            "unknown-situation": {f"w{n + 1}": atoms[0]},
+        }
+        for name, change in faults.items():
+            body = {**points, **change}
+            body = {w: x for w, x in body.items() if x is not None}
+            path = workdir / f"m{m}-s{seed}-{name}.incidence.json"
+            doc = write(path, "incidence", atoms, sits, body)
+            for fmt in ("text", "json"):
+                yield ["check", doc, "--format", fmt]
+
+
+def digest(m, workdir, corpus=calls):
     sha = hashlib.sha256()
-    for argv in calls(m, workdir):
+    for argv in corpus(m, workdir):
         code, out = run_command(argv)
         label = [Path(arg).name if arg.endswith(".json") else arg for arg in argv]
         sha.update(json.dumps([label, code, out.replace(str(workdir), "")]).encode("utf-8"))
@@ -129,8 +170,15 @@ def test_check_and_compose_output_is_unchanged(m, tmp_path):
     assert digest(m, tmp_path) == EXPECTED[m]
 
 
+@pytest.mark.parametrize("m", sorted(INCIDENCE_EXPECTED))
+def test_check_output_on_incidence_documents_is_unchanged(m, tmp_path):
+    assert digest(m, tmp_path, incidence_calls) == INCIDENCE_EXPECTED[m]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for m in sorted(EXPECTED):
             print(f"    {m}: \"{digest(m, Path(tmp))}\",")
+        for m in sorted(INCIDENCE_EXPECTED):
+            print(f"    {m}: \"{digest(m, Path(tmp), incidence_calls)}\",")
     sys.exit(0)
