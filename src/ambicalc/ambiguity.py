@@ -10,17 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import and_, or_
+from operator import and_, ne, or_
 
 from .frames import Frame, SituationSpace
-from .interval import IntervalStructure, SetValuedMap
-from .reports import AxiomReport, Witness, failed, passed
+from .interval import (
+    IntervalStructure,
+    SetValuedMap,
+    axiom_report,
+    first_hit,
+    image_at,
+    pair_at,
+    witness_at,
+)
+from .reports import AxiomReport
 from .sweeps import (
     first_mixed_inter_violation,
     first_mixed_union_violation,
     mixed_inter_failure,
     mixed_union_failure,
-    smallest_witness,
     split_form_misses,
 )
 
@@ -45,62 +52,27 @@ def check_ambiguity_axioms(m: SetValuedMap) -> AxiomReport:
     The split form passes a1–a3.2 jointly; only when it fails do the mixed
     bounds get their own exact tests.
     """
-    t = m.table
-    size = len(t)
-    fr = m.frame
-    sp = m.space
-    full = fr.full
-    verdicts = []
-
-    if t[0] == 0:
-        verdicts.append(passed("a1"))
-    else:
-        verdicts.append(
-            failed("a1", Witness(subset_a=0, detail=f"image of ∅ is {sp.format_subset(t[0])}"))
-        )
-
-    hit = None
-    for a in range(size):
-        if t[a] != t[full ^ a]:
-            hit = a
-            break
-    if hit is None:
-        verdicts.append(passed("a2"))
-    else:
-        detail = (
-            f"A={fr.format_subset(hit)}: image {sp.format_subset(t[hit])} differs from "
-            f"image of ¬A {sp.format_subset(t[full ^ hit])}"
-        )
-        verdicts.append(failed("a2", Witness(subset_a=hit, detail=detail)))
-
+    t, fr, name = m.table, m.frame, m.space.format_subset
     misses = split_form_misses(t)
-    union_test = partial(mixed_union_failure, misses=misses)
-    for axiom, test, scan, op, sign in (
-        ("a3.1", union_test, first_mixed_union_violation, or_, "∪"),
-        ("a3.2", mixed_inter_failure, first_mixed_inter_violation, and_, "∩"),
-    ):
-        pair_hit = smallest_witness(test(t), scan, t) if misses else None
-        if pair_hit is None:
-            verdicts.append(passed(axiom))
-            continue
-        a, b = pair_hit
-        detail = (
-            f"A={fr.format_subset(a)}, B={fr.format_subset(b)}: "
-            f"a(A∩B){sign}a(A∪B)={sp.format_subset(op(t[a & b], t[a | b]))} "
-            f"⊄ a(A){sign}a(B)={sp.format_subset(op(t[a], t[b]))}"
-        )
-        verdicts.append(failed(axiom, Witness(subset_a=a, subset_b=b, detail=detail)))
 
-    if t[full] == 0:
-        verdicts.append(passed("a4"))
-    else:
-        verdicts.append(
-            failed(
-                "a4",
-                Witness(subset_a=full, detail=f"image of Θ is {sp.format_subset(t[full])}"),
-            )
-        )
-    return AxiomReport(tuple(verdicts))
+    def mixed(test, scan, op, sign):
+        if not misses:  # the split form holds, and the mixed bounds with it
+            return None
+        return pair_at(m, test, scan, lambda a, b: (
+            f"a(A∩B){sign}a(A∪B)={name(op(t[a & b], t[a | b]))} "
+            f"⊄ a(A){sign}a(B)={name(op(t[a], t[b]))}"
+        ))
+
+    union_test = partial(mixed_union_failure, misses=misses)
+    return axiom_report(
+        ("a1", image_at(m, 0, 0, "image of ∅")),
+        ("a2", witness_at(fr, first_hit(map(ne, t, reversed(t))), lambda a: (
+            f"image {name(t[a])} differs from image of ¬A {name(t[fr.full ^ a])}"
+        ))),
+        ("a3.1", mixed(union_test, first_mixed_union_violation, or_, "∪")),
+        ("a3.2", mixed(mixed_inter_failure, first_mixed_inter_violation, and_, "∩")),
+        ("a4", image_at(m, fr.full, 0, "image of Θ")),
+    )
 
 
 def ambiguity_from_interval(s: IntervalStructure) -> AmbiguityMap:

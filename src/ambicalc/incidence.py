@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import ne
 from typing import Mapping
 
 from .ambiguity import AmbiguityMap, ambiguity_from_interval, check_ambiguity_axioms
@@ -29,8 +30,15 @@ from .interval import (
     BasicAssignment,
     IntervalStructure,
     SetValuedMap,
+    axiom_report,
+    containment_at,
+    first_hit,
+    image_at,
+    pair_at,
+    require,
+    witness_at,
 )
-from .reports import AxiomReport, Witness, failed, passed
+from .reports import AxiomReport
 from .sweeps import (
     compat_failure,
     derive_seed,
@@ -142,12 +150,7 @@ def incidence_from_map(m: SetValuedMap) -> IncidenceMap:
     The axioms are checked in full and the point map is rebuilt from the
     singleton images, which must partition the space.
     """
-    report = check_incidence_axioms(m)
-    if not report.ok:
-        first = next(v for v in report.verdicts if not v.ok)
-        raise IncidenceAxiomViolation(
-            f"{first.axiom} fails: {first.witness.detail}", report=report
-        )
+    require(check_incidence_axioms(m), IncidenceAxiomViolation)
     targets: list[int | None] = [None] * m.space.n
     for atom in range(m.frame.m):
         cell = m.table[1 << atom]
@@ -170,69 +173,21 @@ def check_incidence_axioms(m: SetValuedMap) -> AxiomReport:
     """Axioms i1 (empty at ∅), i2 (full at Θ), i3 (union distribution),
     i4 (complement exchange), plus the derived i3' (intersection
     distribution)."""
-    t = m.table
-    size = len(t)
-    fr = m.frame
-    sp = m.space
-    full = fr.full
-    verdicts = []
-
-    if t[0] == 0:
-        verdicts.append(passed("i1"))
-    else:
-        verdicts.append(
-            failed("i1", Witness(subset_a=0, detail=f"image of ∅ is {sp.format_subset(t[0])}"))
-        )
-    if t[full] == sp.full:
-        verdicts.append(passed("i2"))
-    else:
-        verdicts.append(
-            failed(
-                "i2",
-                Witness(subset_a=full, detail=f"image of Θ is {sp.format_subset(t[full])}"),
-            )
-        )
-
-    hit = smallest_witness(union_hom_failure(t), first_union_hom_violation, t)
-    if hit is None:
-        verdicts.append(passed("i3"))
-    else:
-        a, b = hit
-        detail = (
-            f"A={fr.format_subset(a)}, B={fr.format_subset(b)}: "
-            f"i(A∪B)={sp.format_subset(t[a | b])} vs "
-            f"i(A)∪i(B)={sp.format_subset(t[a] | t[b])}"
-        )
-        verdicts.append(failed("i3", Witness(subset_a=a, subset_b=b, detail=detail)))
-
-    unary_hit = None
-    omega = sp.full
-    for a in range(size):
-        if omega ^ t[a] != t[full ^ a]:
-            unary_hit = a
-            break
-    if unary_hit is None:
-        verdicts.append(passed("i4"))
-    else:
-        a = unary_hit
-        detail = (
-            f"A={fr.format_subset(a)}: ¬i(A)={sp.format_subset(omega ^ t[a])} vs "
-            f"i(¬A)={sp.format_subset(t[full ^ a])}"
-        )
-        verdicts.append(failed("i4", Witness(subset_a=a, detail=detail)))
-
-    hit = smallest_witness(inter_hom_failure(t), first_inter_hom_violation, t)
-    if hit is None:
-        verdicts.append(passed("i3'"))
-    else:
-        a, b = hit
-        detail = (
-            f"A={fr.format_subset(a)}, B={fr.format_subset(b)}: "
-            f"i(A∩B)={sp.format_subset(t[a & b])} vs "
-            f"i(A)∩i(B)={sp.format_subset(t[a] & t[b])}"
-        )
-        verdicts.append(failed("i3'", Witness(subset_a=a, subset_b=b, detail=detail)))
-    return AxiomReport(tuple(verdicts))
+    t, omega, name = m.table, m.space.full, m.space.format_subset
+    unexchanged = first_hit(map(ne, map(omega.__xor__, t), reversed(t)))
+    return axiom_report(
+        ("i1", image_at(m, 0, 0, "image of ∅")),
+        ("i2", image_at(m, m.frame.full, omega, "image of Θ")),
+        ("i3", pair_at(m, union_hom_failure, first_union_hom_violation, lambda a, b: (
+            f"i(A∪B)={name(t[a | b])} vs i(A)∪i(B)={name(t[a] | t[b])}"
+        ))),
+        ("i4", witness_at(m.frame, unexchanged, lambda a: (
+            f"¬i(A)={name(omega ^ t[a])} vs i(¬A)={name(t[m.frame.full ^ a])}"
+        ))),
+        ("i3'", pair_at(m, inter_hom_failure, first_inter_hom_violation, lambda a, b: (
+            f"i(A∩B)={name(t[a & b])} vs i(A)∩i(B)={name(t[a] & t[b])}"
+        ))),
+    )
 
 
 def select_incidence(j: BasicAssignment, sel: Selector) -> IncidenceMap:
@@ -273,36 +228,10 @@ def check_sandwich(s: IntervalStructure, i: IncidenceMap) -> AxiomReport:
         raise FrameMismatch("structure and incidence map use different frames")
     if s.space != i.space:
         raise SpaceMismatch("structure and incidence map use different spaces")
-    lt, it, ut = s.lower.table, i.map.table, s.upper.table
-    sp = s.space
-    verdicts = []
-    hit = None
-    for a in range(len(lt)):
-        if lt[a] & ~it[a]:
-            hit = a
-            break
-    if hit is None:
-        verdicts.append(passed("sandwich-lower"))
-    else:
-        detail = (
-            f"A={s.frame.format_subset(hit)}: lower {sp.format_subset(lt[hit])} "
-            f"⊄ incidence {sp.format_subset(it[hit])}"
-        )
-        verdicts.append(failed("sandwich-lower", Witness(subset_a=hit, detail=detail)))
-    hit = None
-    for a in range(len(lt)):
-        if it[a] & ~ut[a]:
-            hit = a
-            break
-    if hit is None:
-        verdicts.append(passed("sandwich-upper"))
-    else:
-        detail = (
-            f"A={s.frame.format_subset(hit)}: incidence {sp.format_subset(it[hit])} "
-            f"⊄ upper {sp.format_subset(ut[hit])}"
-        )
-        verdicts.append(failed("sandwich-upper", Witness(subset_a=hit, detail=detail)))
-    return AxiomReport(tuple(verdicts))
+    return axiom_report(
+        ("sandwich-lower", containment_at(s.lower, i.map, "lower", "incidence")),
+        ("sandwich-upper", containment_at(i.map, s.upper, "incidence", "upper")),
+    )
 
 
 def check_compatibility(i: IncidenceMap, a: AmbiguityMap) -> AxiomReport:
@@ -312,19 +241,11 @@ def check_compatibility(i: IncidenceMap, a: AmbiguityMap) -> AxiomReport:
     if i.space != a.space:
         raise SpaceMismatch("incidence and ambiguity maps use different spaces")
     at, it = a.map.table, i.map.table
+    name = i.space.format_subset
     hit = smallest_witness(compat_failure(at, it), first_compat_violation, at, it)
-    if hit is None:
-        return AxiomReport((passed("compatibility"),))
-    x, y = hit
-    fr = i.frame
-    sp = i.space
-    u = x | y
-    detail = (
-        f"A={fr.format_subset(x)}, B={fr.format_subset(y)}: "
-        f"a(A)∪a(B)={sp.format_subset(at[x] | at[y])} ⊄ "
-        f"i(A∪B)∪a(A∪B)={sp.format_subset(it[u] | at[u])}"
-    )
-    return AxiomReport((failed("compatibility", Witness(subset_a=x, subset_b=y, detail=detail)),))
+    return axiom_report(("compatibility", witness_at(i.frame, hit, lambda x, y: (
+        f"a(A)∪a(B)={name(at[x] | at[y])} ⊄ i(A∪B)∪a(A∪B)={name(it[x | y] | at[x | y])}"
+    ))))
 
 
 def decompose_interval(
@@ -363,12 +284,7 @@ def compose_interval(i: IncidenceMap, a: AmbiguityMap) -> IntervalStructure:
         raise FrameMismatch("incidence and ambiguity maps use different frames")
     if i.space != a.space:
         raise SpaceMismatch("incidence and ambiguity maps use different spaces")
-    amb_report = check_ambiguity_axioms(a.map)
-    if not amb_report.ok:
-        first = next(v for v in amb_report.verdicts if not v.ok)
-        raise AmbiguityAxiomViolation(
-            f"{first.axiom} fails: {first.witness.detail}", report=amb_report
-        )
+    require(check_ambiguity_axioms(a.map), AmbiguityAxiomViolation)
     compat = check_compatibility(i, a)
     if not compat.ok:
         w = compat.verdicts[0].witness

@@ -10,7 +10,9 @@ family of cells indexed by subsets of the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress, count
+from operator import and_, invert, ne, or_
 
 from .errors import (
     AssignmentAxiomViolation,
@@ -21,7 +23,7 @@ from .errors import (
     UpperAxiomViolation,
 )
 from .frames import Frame, SituationSpace
-from .reports import AxiomReport, Verdict, Witness, failed, merge, passed
+from .reports import AxiomReport, Verdict, Witness, merge
 from .sweeps import (
     first_inter_bound_violation,
     first_inter_hom_violation,
@@ -116,113 +118,109 @@ def dual_map(m: SetValuedMap) -> SetValuedMap:
     return SetValuedMap(m.frame, m.space, table)
 
 
-def _pair_witness(m: SetValuedMap, axiom: str, pair, lhs: str, rhs: str) -> Verdict:
-    a, b = pair
-    fr = m.frame
-    detail = f"A={fr.format_subset(a)}, B={fr.format_subset(b)}: {lhs} vs {rhs}"
-    return failed(axiom, Witness(subset_a=a, subset_b=b, detail=detail))
+def axiom_report(*rows) -> AxiomReport:
+    """The report of ``(axiom, witness)`` rows, in order: a row passes when
+    its witness is None."""
+    return AxiomReport(tuple([Verdict(axiom, w is None, w) for axiom, w in rows]))
 
 
-def _check_map_axioms(m: SetValuedMap, empty: str, whole: str, pair_axioms) -> AxiomReport:
-    """Image of ∅ empty (``empty``), image of Θ full (``whole``), then one
-    verdict per (axiom, test, scan, on_union, rhs_first) in ``pair_axioms``;
-    a witness shows the union or the intersection side of the pair."""
-    t = m.table
-    sp = m.space
-    full = m.frame.full
-    verdicts = []
-
-    if t[0] == 0:
-        verdicts.append(passed(empty))
-    else:
-        verdicts.append(
-            failed(empty, Witness(subset_a=0, detail=f"image of ∅ is {sp.format_subset(t[0])}"))
-        )
-    if t[full] == sp.full:
-        verdicts.append(passed(whole))
-    else:
-        verdicts.append(
-            failed(
-                whole,
-                Witness(subset_a=full, detail=f"image of Θ is {sp.format_subset(t[full])}"),
-            )
-        )
-
-    for axiom, test, scan, on_union, rhs_first in pair_axioms:
-        hit = smallest_witness(test(t), scan, t)
-        if hit is None:
-            verdicts.append(passed(axiom))
-            continue
+def witness_at(frame: Frame, hit, text) -> Witness | None:
+    """None when ``hit`` is None.  Else the witness at ``hit``, a subset A
+    or a pair (A, B), whose detail is "A=…: " or "A=…, B=…: " and then
+    ``text(*hit)``; ``text`` runs only here, on a failure."""
+    if hit is None:
+        return None
+    name = frame.format_subset
+    if isinstance(hit, tuple):
         a, b = hit
-        if on_union:
-            sides = [
-                f"image of A∪B is {sp.format_subset(t[a | b])}",
-                f"union of images is {sp.format_subset(t[a] | t[b])}",
-            ]
-        else:
-            sides = [
-                f"image of A∩B is {sp.format_subset(t[a & b])}",
-                f"intersection of images is {sp.format_subset(t[a] & t[b])}",
-            ]
-        verdicts.append(_pair_witness(m, axiom, hit, *(sides[::-1] if rhs_first else sides)))
-    return AxiomReport(tuple(verdicts))
+        return Witness(subset_a=a, subset_b=b, detail=f"A={name(a)}, B={name(b)}: {text(a, b)}")
+    return Witness(subset_a=hit, detail=f"A={name(hit)}: {text(hit)}")
+
+
+def image_at(m: SetValuedMap, a: int, wanted: int, label: str) -> Witness | None:
+    """None when ``m``'s image at ``a`` (∅ or Θ) is ``wanted``, else the
+    witness "``label`` is …" naming the image."""
+    got = m.table[a]
+    if got == wanted:
+        return None
+    return Witness(subset_a=a, detail=f"{label} is {m.space.format_subset(got)}")
+
+
+def first_hit(flags) -> int | None:
+    """The first subset, in ascending order, whose flag in ``flags`` is
+    true, or None."""
+    return next(compress(count(), flags), None)
+
+
+def containment_at(
+    x: SetValuedMap, y: SetValuedMap, xname: str, yname: str
+) -> Witness | None:
+    """None when x(A) ⊆ y(A) for every A, else the witness at the first A
+    where that fails."""
+    xt, yt = x.table, y.table
+    name = x.space.format_subset
+    hit = first_hit(map(and_, xt, map(invert, yt)))
+    return witness_at(x.frame, hit, lambda a: f"{xname} {name(xt[a])} ⊄ {yname} {name(yt[a])}")
+
+
+def require(report: AxiomReport, error) -> None:
+    """Raise ``error`` with ``report`` when a verdict fails, naming the
+    first failing axiom and its witness."""
+    for v in report.verdicts:
+        if not v.ok:
+            raise error(f"{v.axiom} fails: {v.witness.detail}", report=report)
+
+
+def pair_at(m: SetValuedMap, test, scan, text) -> Witness | None:
+    """``witness_at`` the pair that ``smallest_witness`` picks for the pair
+    axiom whose exact ``test`` and smallest-pair ``scan`` run on m's table."""
+    t = m.table
+    return witness_at(m.frame, smallest_witness(test(t), scan, t), text)
 
 
 def check_upper_axioms(m: SetValuedMap) -> AxiomReport:
     """Empty fixpoint, full fixpoint, union distribution, and the derived
     intersection bound.  The bound must pass whenever the first three do."""
-    return _check_map_axioms(
-        m,
-        "f̄1",
-        "f̄2",
-        (
-            ("f̄3", union_hom_failure, first_union_hom_violation, True, False),
-            ("f̄4", monotone_failure, first_inter_bound_violation, False, False),
-        ),
+    t, name = m.table, m.space.format_subset
+    return axiom_report(
+        ("f̄1", image_at(m, 0, 0, "image of ∅")),
+        ("f̄2", image_at(m, m.frame.full, m.space.full, "image of Θ")),
+        ("f̄3", pair_at(m, union_hom_failure, first_union_hom_violation, lambda a, b: (
+            f"image of A∪B is {name(t[a | b])} vs union of images is {name(t[a] | t[b])}"
+        ))),
+        ("f̄4", pair_at(m, monotone_failure, first_inter_bound_violation, lambda a, b: (
+            f"image of A∩B is {name(t[a & b])} "
+            f"vs intersection of images is {name(t[a] & t[b])}"
+        ))),
     )
 
 
 def check_lower_axioms(m: SetValuedMap) -> AxiomReport:
     """Mirror of the upper axioms: intersection distribution with a derived
     union bound."""
-    return _check_map_axioms(
-        m,
-        "f1",
-        "f2",
-        (
-            ("f3", inter_hom_failure, first_inter_hom_violation, False, False),
-            ("f4", monotone_failure, first_union_bound_violation, True, True),
-        ),
+    t, name = m.table, m.space.format_subset
+    return axiom_report(
+        ("f1", image_at(m, 0, 0, "image of ∅")),
+        ("f2", image_at(m, m.frame.full, m.space.full, "image of Θ")),
+        ("f3", pair_at(m, inter_hom_failure, first_inter_hom_violation, lambda a, b: (
+            f"image of A∩B is {name(t[a & b])} "
+            f"vs intersection of images is {name(t[a] & t[b])}"
+        ))),
+        ("f4", pair_at(m, monotone_failure, first_union_bound_violation, lambda a, b: (
+            f"union of images is {name(t[a] | t[b])} vs image of A∪B is {name(t[a | b])}"
+        ))),
     )
 
 
 def check_duality(lower: SetValuedMap, upper: SetValuedMap) -> AxiomReport:
-    full = lower.frame.full
     omega = lower.space.full
     lt, ut = lower.table, upper.table
-    for a in range(len(lt)):
-        if lt[a] != omega ^ ut[full ^ a]:
-            fr = lower.frame
-            sp = lower.space
-            detail = (
-                f"A={fr.format_subset(a)}: lower image {sp.format_subset(lt[a])} "
-                f"vs complement of upper ¬A image {sp.format_subset(omega ^ ut[full ^ a])}"
-            )
-            return AxiomReport((failed("duality", Witness(subset_a=a, detail=detail)),))
-    return AxiomReport((passed("duality"),))
-
-
-def _sandwich_verdict(lower: SetValuedMap, upper: SetValuedMap) -> Verdict:
-    lt, ut = lower.table, upper.table
-    for a in range(len(lt)):
-        if lt[a] & ~ut[a]:
-            sp = lower.space
-            detail = (
-                f"A={lower.frame.format_subset(a)}: lower {sp.format_subset(lt[a])} "
-                f"⊄ upper {sp.format_subset(ut[a])}"
-            )
-            return failed("sandwich", Witness(subset_a=a, detail=detail))
-    return passed("sandwich")
+    name = lower.space.format_subset
+    hit = first_hit(map(ne, lt, map(omega.__xor__, reversed(ut))))
+    return axiom_report(("duality", witness_at(lower.frame, hit, lambda a: (
+        f"lower image {name(lt[a])} "
+        f"vs complement of upper ¬A image {name(omega ^ ut[lower.frame.full ^ a])}"
+    ))))
 
 
 def _require_same_universes(x, y, what: str):
@@ -239,7 +237,7 @@ def check_structure(lower: SetValuedMap, upper: SetValuedMap) -> AxiomReport:
         check_upper_axioms(upper),
         check_duality(lower, upper),
         check_lower_axioms(lower),
-        AxiomReport((_sandwich_verdict(lower, upper),)),
+        axiom_report(("sandwich", containment_at(lower, upper, "lower", "upper"))),
     )
 
 
@@ -251,18 +249,9 @@ def make_interval_structure(lower: SetValuedMap, upper: SetValuedMap) -> Interva
     pass means the engine itself is broken.
     """
     _require_same_universes(lower, upper, "lower/upper maps")
-    up = check_upper_axioms(upper)
-    if not up.ok:
-        first = next(v for v in up.verdicts if not v.ok)
-        raise UpperAxiomViolation(f"{first.axiom} fails: {first.witness.detail}", report=up)
-    du = check_duality(lower, upper)
-    if not du.ok:
-        raise DualityViolation(
-            f"duality fails: {du.verdicts[0].witness.detail}", report=du
-        )
-    low = check_lower_axioms(lower)
-    sandwich = _sandwich_verdict(lower, upper)
-    if not (low.ok and sandwich.ok):
+    require(check_upper_axioms(upper), UpperAxiomViolation)
+    require(check_duality(lower, upper), DualityViolation)
+    if not check_lower_axioms(lower).ok or containment_at(lower, upper, "lower", "upper"):
         raise InternalInvariantFailure(
             "derived lower axioms fail although the defining axioms hold"
         )
@@ -271,48 +260,17 @@ def make_interval_structure(lower: SetValuedMap, upper: SetValuedMap) -> Interva
 
 def check_assignment(m: SetValuedMap) -> AxiomReport:
     """Basic-assignment axioms: empty cell at ∅, space coverage, disjointness."""
-    t = m.table
-    sp = m.space
-    verdicts = []
-
-    if t[0] == 0:
-        verdicts.append(passed("j1"))
-    else:
-        verdicts.append(
-            failed("j1", Witness(subset_a=0, detail=f"cell of ∅ is {sp.format_subset(t[0])}"))
-        )
-
-    covered = 0
-    for cell in t:
-        covered |= cell
-    if covered == sp.full:
-        verdicts.append(passed("j2"))
-    else:
-        # report the lowest uncovered situation
-        uncovered = ~covered & sp.full
-        w = (uncovered & -uncovered).bit_length() - 1
-        verdicts.append(
-            failed(
-                "j2",
-                Witness(situation=w, detail=f"situation {sp.names[w]} lies in no cell"),
-            )
-        )
-
-    hit = smallest_witness(overlap_failure(t), first_overlap_violation, t)
-    if hit is None:
-        verdicts.append(passed("j3"))
-    else:
-        a, b = hit
-        verdicts.append(
-            _pair_witness(
-                m,
-                "j3",
-                hit,
-                f"cells overlap in {sp.format_subset(t[a] & t[b])}",
-                "expected disjoint",
-            )
-        )
-    return AxiomReport(tuple(verdicts))
+    t, sp = m.table, m.space
+    uncovered = sp.full & ~reduce(or_, t, 0)
+    w = (uncovered & -uncovered).bit_length() - 1  # the lowest uncovered situation
+    return axiom_report(
+        ("j1", image_at(m, 0, 0, "cell of ∅")),
+        ("j2", Witness(situation=w, detail=f"situation {sp.names[w]} lies in no cell")
+         if uncovered else None),
+        ("j3", pair_at(m, overlap_failure, first_overlap_violation, lambda a, b: (
+            f"cells overlap in {sp.format_subset(t[a] & t[b])} vs expected disjoint"
+        ))),
+    )
 
 
 def _cells_partition(t: tuple[int, ...], omega: int, n: int) -> bool:
@@ -365,19 +323,20 @@ def extract_assignment(s: IntervalStructure) -> BasicAssignment:
 
 def structure_from_assignment(j: BasicAssignment) -> IntervalStructure:
     """Build the interval structure whose cells are ``j``; it carries ``j``
-    as its ``assignment``.
+    as its ``assignment``.  ``j`` must pass the assignment axioms."""
+    require(check_assignment(j.map), AssignmentAxiomViolation)
+    return _envelope(j)
+
+
+def _envelope(j: BasicAssignment) -> IntervalStructure:
+    """The structure of ``structure_from_assignment``, for cells ``j`` that
+    are known to be a basic assignment.
 
     The lower map unions cells over subsets, the upper map is its dual, and
     the direct overlap formula upper(A) = union of cells meeting A is checked
     against the dual on the side, on every subset.  Such a pair satisfies
     every structure axiom by construction, so they are not checked again.
     """
-    report = check_assignment(j.map)
-    if not report.ok:
-        first = next(v for v in report.verdicts if not v.ok)
-        raise AssignmentAxiomViolation(
-            f"{first.axiom} fails: {first.witness.detail}", report=report
-        )
     cells = j.map.table
     lower = SetValuedMap(j.frame, j.space, lower_table_from_cells(cells))
     upper = dual_map(lower)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import ne
 
 from .errors import (
     EmptyMass,
@@ -27,9 +28,12 @@ from .interval import (
     BasicAssignment,
     IntervalStructure,
     SetValuedMap,
-    structure_from_assignment,
+    _envelope,
+    axiom_report,
+    first_hit,
+    witness_at,
 )
-from .reports import AxiomReport, Witness, failed, passed
+from .reports import AxiomReport, Witness
 from .sweeps import first_submodular_violation, smallest_witness, submodular_failure
 
 Rational = Fraction
@@ -258,40 +262,24 @@ def check_belief_identity(report: BeliefReport, mass: MassFunction) -> AxiomRepo
     """Bel(A) = Σ m(B) over B ⊆ A, and Pl(A) = 1 − Bel(¬A), both exact."""
     if report.frame != mass.frame:
         raise FrameMismatch("report and mass function use different frames")
-    fr = report.frame
-    size = 1 << fr.m
-    full = fr.full
-    bel, pl = report.bel, report.pl
-    verdicts = []
+    fr, bel, pl = report.frame, report.bel, report.pl
     z, den = _subset_sums(mass)
-    hit = next(
-        (a for a in range(size) if bel[a].numerator * den != z[a] * bel[a].denominator),
-        None,
+    return axiom_report(
+        ("bel-mass-identity", witness_at(
+            fr,
+            first_hit(b.numerator * den != sums * b.denominator for b, sums in zip(bel, z)),
+            lambda a: f"Bel={bel[a]} but the subset masses sum to {Fraction(z[a], den)}",
+        )),
+        ("pl-complement", witness_at(
+            fr,
+            # Pl(A) = 1 − Bel(¬A) cross-multiplied: pl·bd = (bd − bn)·pd
+            first_hit(
+                p.numerator * b.denominator != (b.denominator - b.numerator) * p.denominator
+                for p, b in zip(pl, reversed(bel))
+            ),
+            lambda a: f"Pl={pl[a]} but 1 − Bel(¬A) = {1 - bel[fr.full ^ a]}",
+        )),
     )
-    if hit is None:
-        verdicts.append(passed("bel-mass-identity"))
-    else:
-        detail = (
-            f"A={fr.format_subset(hit)}: Bel={bel[hit]} but the subset masses sum to "
-            f"{Fraction(z[hit], den)}"
-        )
-        verdicts.append(failed("bel-mass-identity", Witness(subset_a=hit, detail=detail)))
-    # Pl(A) = 1 − Bel(¬A) cross-multiplied: pl·bd = (bd − bn)·pd
-    hit = None
-    for a in range(size):
-        p, b = pl[a], bel[full ^ a]
-        if p.numerator * b.denominator != (b.denominator - b.numerator) * p.denominator:
-            hit = a
-            break
-    if hit is None:
-        verdicts.append(passed("pl-complement"))
-    else:
-        detail = (
-            f"A={fr.format_subset(hit)}: Pl={pl[hit]} but "
-            f"1 − Bel(¬A) = {1 - bel[full ^ hit]}"
-        )
-        verdicts.append(failed("pl-complement", Witness(subset_a=hit, detail=detail)))
-    return AxiomReport(tuple(verdicts))
 
 
 def structure_from_mass(
@@ -321,70 +309,36 @@ def structure_from_mass(
     cells = [0] * size
     for k, mask in enumerate(focals):
         cells[mask] = 1 << k
+    # one singleton cell per nonempty focal subset: a basic assignment
     j = BasicAssignment(SetValuedMap(mass.frame, space, tuple(cells)))
-    return space, prob, j, structure_from_assignment(j)
+    return space, prob, j, _envelope(j)
 
 
 def fishburn_report(report: BeliefReport) -> AxiomReport:
     """Numeric ambiguity axioms for α: zero at ∅ and nonnegative, complement
     symmetric, submodular over pairs, plus the derived zero at Θ."""
     fr = report.frame
-    size = 1 << fr.m
-    full = fr.full
     alpha = report.alpha
     # scale to a common denominator once so every test runs on integers
     scaled = _scale(alpha, _common_denominator(alpha))
-    verdicts = []
-
-    hit = None
-    if scaled[0] != 0:
-        hit = (0, f"α(∅) = {alpha[0]}")
-    else:
-        for a in range(size):
-            if scaled[a] < 0:
-                hit = (a, f"α = {alpha[a]} < 0")
-                break
-    if hit is None:
-        verdicts.append(passed("α1"))
-    else:
-        a, text = hit
-        verdicts.append(
-            failed("α1", Witness(subset_a=a, detail=f"A={fr.format_subset(a)}: {text}"))
-        )
-
-    hit = None
-    for a in range(size):
-        if scaled[a] != scaled[full ^ a]:
-            hit = a
-            break
-    if hit is None:
-        verdicts.append(passed("α2"))
-    else:
-        detail = (
-            f"A={fr.format_subset(hit)}: α(A)={alpha[hit]} but α(¬A)={alpha[full ^ hit]}"
-        )
-        verdicts.append(failed("α2", Witness(subset_a=hit, detail=detail)))
-
     fault = (submodular_failure(scaled), None)  # α3 is not set-valued: no situations
-    hit = smallest_witness(fault, first_submodular_violation, scaled)
-    if hit is None:
-        verdicts.append(passed("α3"))
-    else:
-        a, b = hit
-        detail = (
-            f"A={fr.format_subset(a)}, B={fr.format_subset(b)}: "
-            f"α(A∩B)+α(A∪B)={alpha[a & b] + alpha[a | b]} > "
-            f"α(A)+α(B)={alpha[a] + alpha[b]}"
-        )
-        verdicts.append(failed("α3", Witness(subset_a=a, subset_b=b, detail=detail)))
-
-    if scaled[full] == 0:
-        verdicts.append(passed("α(Θ)=0"))
-    else:
-        verdicts.append(
-            failed(
-                "α(Θ)=0",
-                Witness(subset_a=full, detail=f"α(Θ) = {alpha[full]}"),
-            )
-        )
-    return AxiomReport(tuple(verdicts))
+    return axiom_report(
+        ("α1", witness_at(
+            fr,
+            0 if scaled[0] else first_hit(map((0).__gt__, scaled)),
+            lambda a: f"α = {alpha[a]} < 0" if a else f"α(∅) = {alpha[0]}",
+        )),
+        ("α2", witness_at(
+            fr,
+            first_hit(map(ne, scaled, reversed(scaled))),
+            lambda a: f"α(A)={alpha[a]} but α(¬A)={alpha[fr.full ^ a]}",
+        )),
+        ("α3", witness_at(
+            fr,
+            smallest_witness(fault, first_submodular_violation, scaled),
+            lambda a, b: f"α(A∩B)+α(A∪B)={alpha[a & b] + alpha[a | b]} > "
+            f"α(A)+α(B)={alpha[a] + alpha[b]}",
+        )),
+        ("α(Θ)=0", Witness(subset_a=fr.full, detail=f"α(Θ) = {alpha[fr.full]}")
+         if scaled[fr.full] else None),
+    )

@@ -29,6 +29,9 @@ from operator import or_
 # the largest frame whose failing checks scan for the smallest witness
 SCAN_LIMIT = 8
 
+# cells that _pack turns into bytes at a time
+_PACK_CHUNK = 1024
+
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit stream seed from a tuple of labels and ints."""
@@ -377,9 +380,14 @@ def _layout(t) -> tuple[int, int]:
 
 def _pack(cells, low: int, width: int) -> int:
     """The table ``cells`` as one int, entry B shifted down by ``low`` in the
-    ``width``-byte slot B."""
-    cells = [cell >> low for cell in cells] if low else cells
-    raw = b"".join(map(int.to_bytes, cells, repeat(width), repeat("little")))
+    ``width``-byte slot B.  It goes through one buffer in chunks of
+    ``_PACK_CHUNK`` cells, so only one chunk's ``bytes`` are alive at once."""
+    raw = bytearray()
+    for start in range(0, len(cells), _PACK_CHUNK):
+        chunk = cells[start : start + _PACK_CHUNK]
+        if low:
+            chunk = [cell >> low for cell in chunk]
+        raw += b"".join(map(int.to_bytes, chunk, repeat(width), repeat("little")))
     return int.from_bytes(raw, "little")
 
 

@@ -218,6 +218,7 @@ def test_each_fact_is_computed_once_per_trial(monkeypatch):
             "incidence.check_incidence_axioms",
             "ambiguity.check_ambiguity_axioms",
             "interval.make_interval_structure",
+            "interval.check_assignment",
         ],
     )
     monkeypatch.delenv("AMBIG_THREADS", raising=False)
@@ -231,6 +232,9 @@ def test_each_fact_is_computed_once_per_trial(monkeypatch):
         # the harness's check, and compose_interval's input guard
         "ambiguity.check_ambiguity_axioms": 2,
         "interval.make_interval_structure": 0,
+        # the harness's check, and structure_from_assignment's input guard;
+        # structure_from_mass builds its singleton cells without the guard
+        "interval.check_assignment": 2,
     }
 
 

@@ -37,6 +37,7 @@ from ambicalc import (
 )
 from ambicalc.numeric import BeliefReport, fishburn_report
 from ambicalc.sweeps import (
+    _pack,
     compat_failure,
     first_compat_violation,
     first_inter_bound_violation,
@@ -332,6 +333,20 @@ def test_family_scans_name_the_smallest_pair_on_random_tables(m):
                 assert_same_witness(axiom, scans, t)
             inc = [rng.getrandbits(n) for _ in range(1 << m)]
             assert_same_witness("compatibility", COMPAT_SCAN, t, inc)
+
+
+@pytest.mark.parametrize("size", [1, 1023, 1024, 3000, 1 << 12])
+def test_chunked_packing_equals_one_join(size):
+    """``_pack`` fills one buffer chunk by chunk; the int must be the one
+    that joining every cell's bytes at once gives, also with the situations
+    starting above 0 and slots wider than 8 bytes."""
+    rng = random.Random(size)
+    for n, low in ((8, 0), (64, 5), (100, 3), (200, 71)):
+        t = [rng.getrandbits(n) << low for _ in range(size)]
+        width = -(-n // 8)
+        raw = b"".join(int.to_bytes(cell >> low, width, "little") for cell in t)
+        assert _pack(t, low, width) == int.from_bytes(raw, "little")
+        assert _pack(tuple(t), low, width) == int.from_bytes(raw, "little")
 
 
 # --- above the scan limit: no oracle, so re-verify every witness
