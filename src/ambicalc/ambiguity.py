@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import and_, ne, or_
+from operator import and_, or_
 
 from .frames import Frame, SituationSpace
 from .interval import (
     IntervalStructure,
     SetValuedMap,
     axiom_report,
-    first_hit,
     image_at,
     pair_at,
     witness_at,
@@ -53,6 +52,7 @@ def check_ambiguity_axioms(m: SetValuedMap) -> AxiomReport:
     bounds get their own exact tests.
     """
     t, fr, name = m.table, m.frame, m.space.format_subset
+    full = fr.full
     misses = split_form_misses(t)
 
     def mixed(test, scan, op, sign):
@@ -64,14 +64,15 @@ def check_ambiguity_axioms(m: SetValuedMap) -> AxiomReport:
         ))
 
     union_test = partial(mixed_union_failure, misses=misses)
+    asymmetric = next((a for a in range(len(t)) if t[a] != t[full ^ a]), None)
     return axiom_report(
         ("a1", image_at(m, 0, 0, "image of ∅")),
-        ("a2", witness_at(fr, first_hit(map(ne, t, reversed(t))), lambda a: (
-            f"image {name(t[a])} differs from image of ¬A {name(t[fr.full ^ a])}"
+        ("a2", witness_at(fr, asymmetric, lambda a: (
+            f"image {name(t[a])} differs from image of ¬A {name(t[full ^ a])}"
         ))),
         ("a3.1", mixed(union_test, first_mixed_union_violation, or_, "∪")),
         ("a3.2", mixed(mixed_inter_failure, first_mixed_inter_violation, and_, "∩")),
-        ("a4", image_at(m, fr.full, 0, "image of Θ")),
+        ("a4", image_at(m, full, 0, "image of Θ")),
     )
 
 

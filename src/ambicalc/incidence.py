@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import ne
 from typing import Mapping
 
 from .ambiguity import AmbiguityMap, ambiguity_from_interval, check_ambiguity_axioms
@@ -32,7 +31,6 @@ from .interval import (
     SetValuedMap,
     axiom_report,
     containment_at,
-    first_hit,
     image_at,
     pair_at,
     require,
@@ -174,15 +172,16 @@ def check_incidence_axioms(m: SetValuedMap) -> AxiomReport:
     i4 (complement exchange), plus the derived i3' (intersection
     distribution)."""
     t, omega, name = m.table, m.space.full, m.space.format_subset
-    unexchanged = first_hit(map(ne, map(omega.__xor__, t), reversed(t)))
+    full = m.frame.full
+    unexchanged = next((a for a in range(len(t)) if omega ^ t[a] != t[full ^ a]), None)
     return axiom_report(
         ("i1", image_at(m, 0, 0, "image of ∅")),
-        ("i2", image_at(m, m.frame.full, omega, "image of Θ")),
+        ("i2", image_at(m, full, omega, "image of Θ")),
         ("i3", pair_at(m, union_hom_failure, first_union_hom_violation, lambda a, b: (
             f"i(A∪B)={name(t[a | b])} vs i(A)∪i(B)={name(t[a] | t[b])}"
         ))),
         ("i4", witness_at(m.frame, unexchanged, lambda a: (
-            f"¬i(A)={name(omega ^ t[a])} vs i(¬A)={name(t[m.frame.full ^ a])}"
+            f"¬i(A)={name(omega ^ t[a])} vs i(¬A)={name(t[full ^ a])}"
         ))),
         ("i3'", pair_at(m, inter_hom_failure, first_inter_hom_violation, lambda a, b: (
             f"i(A∩B)={name(t[a & b])} vs i(A)∩i(B)={name(t[a] & t[b])}"

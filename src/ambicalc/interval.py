@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count
-from operator import and_, invert, ne, or_
+from operator import or_
 
 from .errors import (
     AssignmentAxiomViolation,
@@ -146,12 +145,6 @@ def image_at(m: SetValuedMap, a: int, wanted: int, label: str) -> Witness | None
     return Witness(subset_a=a, detail=f"{label} is {m.space.format_subset(got)}")
 
 
-def first_hit(flags) -> int | None:
-    """The first subset, in ascending order, whose flag in ``flags`` is
-    true, or None."""
-    return next(compress(count(), flags), None)
-
-
 def containment_at(
     x: SetValuedMap, y: SetValuedMap, xname: str, yname: str
 ) -> Witness | None:
@@ -159,7 +152,7 @@ def containment_at(
     where that fails."""
     xt, yt = x.table, y.table
     name = x.space.format_subset
-    hit = first_hit(map(and_, xt, map(invert, yt)))
+    hit = next((a for a in range(len(xt)) if xt[a] & ~yt[a]), None)
     return witness_at(x.frame, hit, lambda a: f"{xname} {name(xt[a])} ⊄ {yname} {name(yt[a])}")
 
 
@@ -213,13 +206,12 @@ def check_lower_axioms(m: SetValuedMap) -> AxiomReport:
 
 
 def check_duality(lower: SetValuedMap, upper: SetValuedMap) -> AxiomReport:
-    omega = lower.space.full
+    omega, full = lower.space.full, lower.frame.full
     lt, ut = lower.table, upper.table
     name = lower.space.format_subset
-    hit = first_hit(map(ne, lt, map(omega.__xor__, reversed(ut))))
+    hit = next((a for a in range(len(lt)) if lt[a] != omega ^ ut[full ^ a]), None)
     return axiom_report(("duality", witness_at(lower.frame, hit, lambda a: (
-        f"lower image {name(lt[a])} "
-        f"vs complement of upper ¬A image {name(omega ^ ut[lower.frame.full ^ a])}"
+        f"lower image {name(lt[a])} vs complement of upper ¬A image {name(omega ^ ut[full ^ a])}"
     ))))
 
 

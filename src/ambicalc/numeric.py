@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import ne
 
 from .errors import (
     EmptyMass,
@@ -30,7 +29,6 @@ from .interval import (
     SetValuedMap,
     _envelope,
     axiom_report,
-    first_hit,
     witness_at,
 )
 from .reports import AxiomReport, Witness
@@ -264,21 +262,26 @@ def check_belief_identity(report: BeliefReport, mass: MassFunction) -> AxiomRepo
         raise FrameMismatch("report and mass function use different frames")
     fr, bel, pl = report.frame, report.bel, report.pl
     z, den = _subset_sums(mass)
+    unsummed = next(
+        (a for a, (b, sums) in enumerate(zip(bel, z)) if b.numerator * den != sums * b.denominator),
+        None,
+    )
+    # Pl(A) = 1 − Bel(¬A) cross-multiplied: pl·bd = (bd − bn)·pd
+    uncomplemented = next(
+        (
+            a
+            for a, (p, b) in enumerate(zip(pl, reversed(bel)))
+            if p.numerator * b.denominator != (b.denominator - b.numerator) * p.denominator
+        ),
+        None,
+    )
     return axiom_report(
-        ("bel-mass-identity", witness_at(
-            fr,
-            first_hit(b.numerator * den != sums * b.denominator for b, sums in zip(bel, z)),
-            lambda a: f"Bel={bel[a]} but the subset masses sum to {Fraction(z[a], den)}",
-        )),
-        ("pl-complement", witness_at(
-            fr,
-            # Pl(A) = 1 − Bel(¬A) cross-multiplied: pl·bd = (bd − bn)·pd
-            first_hit(
-                p.numerator * b.denominator != (b.denominator - b.numerator) * p.denominator
-                for p, b in zip(pl, reversed(bel))
-            ),
-            lambda a: f"Pl={pl[a]} but 1 − Bel(¬A) = {1 - bel[fr.full ^ a]}",
-        )),
+        ("bel-mass-identity", witness_at(fr, unsummed, lambda a: (
+            f"Bel={bel[a]} but the subset masses sum to {Fraction(z[a], den)}"
+        ))),
+        ("pl-complement", witness_at(fr, uncomplemented, lambda a: (
+            f"Pl={pl[a]} but 1 − Bel(¬A) = {1 - bel[fr.full ^ a]}"
+        ))),
     )
 
 
@@ -317,28 +320,23 @@ def structure_from_mass(
 def fishburn_report(report: BeliefReport) -> AxiomReport:
     """Numeric ambiguity axioms for α: zero at ∅ and nonnegative, complement
     symmetric, submodular over pairs, plus the derived zero at Θ."""
-    fr = report.frame
-    alpha = report.alpha
+    fr, full, alpha = report.frame, report.frame.full, report.alpha
     # scale to a common denominator once so every test runs on integers
     scaled = _scale(alpha, _common_denominator(alpha))
+    negative = 0 if scaled[0] else next((a for a, v in enumerate(scaled) if v < 0), None)
+    asymmetric = next((a for a in range(len(scaled)) if scaled[a] != scaled[full ^ a]), None)
     fault = (submodular_failure(scaled), None)  # α3 is not set-valued: no situations
+    supermodular = smallest_witness(fault, first_submodular_violation, scaled)
     return axiom_report(
-        ("α1", witness_at(
-            fr,
-            0 if scaled[0] else first_hit(map((0).__gt__, scaled)),
-            lambda a: f"α = {alpha[a]} < 0" if a else f"α(∅) = {alpha[0]}",
-        )),
-        ("α2", witness_at(
-            fr,
-            first_hit(map(ne, scaled, reversed(scaled))),
-            lambda a: f"α(A)={alpha[a]} but α(¬A)={alpha[fr.full ^ a]}",
-        )),
-        ("α3", witness_at(
-            fr,
-            smallest_witness(fault, first_submodular_violation, scaled),
-            lambda a, b: f"α(A∩B)+α(A∪B)={alpha[a & b] + alpha[a | b]} > "
-            f"α(A)+α(B)={alpha[a] + alpha[b]}",
-        )),
-        ("α(Θ)=0", Witness(subset_a=fr.full, detail=f"α(Θ) = {alpha[fr.full]}")
-         if scaled[fr.full] else None),
+        ("α1", witness_at(fr, negative, lambda a: (
+            f"α = {alpha[a]} < 0" if a else f"α(∅) = {alpha[0]}"
+        ))),
+        ("α2", witness_at(fr, asymmetric, lambda a: (
+            f"α(A)={alpha[a]} but α(¬A)={alpha[full ^ a]}"
+        ))),
+        ("α3", witness_at(fr, supermodular, lambda a, b: (
+            f"α(A∩B)+α(A∪B)={alpha[a & b] + alpha[a | b]} > α(A)+α(B)={alpha[a] + alpha[b]}"
+        ))),
+        ("α(Θ)=0", Witness(subset_a=full, detail=f"α(Θ) = {alpha[full]}")
+         if scaled[full] else None),
     )
