@@ -30,6 +30,7 @@ from .incidence import (
 from .interval import (
     BasicAssignment,
     IntervalStructure,
+    axiom_report,
     check_assignment,
     check_structure,
     extract_assignment,
@@ -47,7 +48,7 @@ from .numeric import (
     structure_from_mass,
 )
 from .oracle import oracle_verify
-from .reports import AxiomReport, failed, passed
+from .reports import AxiomReport
 
 
 def _read(path: str) -> str:
@@ -132,30 +133,15 @@ def _parse_selector(arg: str | None, frame: Frame) -> Selector:
     raise SchemaError(f"bad selector {arg!r}; use min, seed:N, or @table.json")
 
 
-def _simple_report(pairs) -> AxiomReport:
-    return AxiomReport(tuple(passed(name) if ok else failed(name, w) for name, ok, w in pairs))
-
-
 def _cmd_check(args):
     # reporting violations is the command's job, so skip the --validate pre-pass
     _, obj = _load(args.file)
     report = _axiom_report(obj)
+    # the loader's constructors reject numeric documents that break these rows
     if report is None and isinstance(obj, ProbabilityAssignment):
-        report = _simple_report(
-            [
-                ("nonnegative", all(w >= 0 for w in obj.weights), None),
-                ("normalized", sum(obj.weights) == 1, None),
-            ]
-        )
+        report = axiom_report(("nonnegative", None), ("normalized", None))
     elif report is None:
-        mass = obj
-        report = _simple_report(
-            [
-                ("no-mass-on-empty", all(mask for mask, _ in mass.masses), None),
-                ("positive", all(v > 0 for _, v in mass.masses), None),
-                ("normalized", sum(v for _, v in mass.masses) == 1, None),
-            ]
-        )
+        report = axiom_report(("no-mass-on-empty", None), ("positive", None), ("normalized", None))
     return (0 if report.ok else 1), _report_text(report, args.format == "json")
 
 

@@ -279,9 +279,15 @@ def _evaluate_standard(cfg: GenConfig, sub: GenConfig, trial: int, j: BasicAssig
         sandwich = check_sandwich(s, inc_min)
         selection_ok = rep_i.ok and sandwich.ok
         agree = agree and rep_i.agreement_key() == oracle_verify(inc_min).agreement_key()
+        # the checks are pure functions of the tables: a repeated table is
+        # built, but not checked again
+        checked = {inc_min.map.table}
         for k in range(cfg.seeded_selectors):
             sel = Selector.seeded(derive_seed("selector-seed", cfg.seed, trial, k))
             inc_k = select_incidence(j, sel)
+            if inc_k.map.table in checked:
+                continue
+            checked.add(inc_k.map.table)
             selection_ok = (
                 selection_ok
                 and check_incidence_axioms(inc_k.map).ok

@@ -9,8 +9,9 @@ is the constructive half of the decomposition upper = i ∪ a, lower = i ∩ ¬a
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Mapping
 
 from .ambiguity import AmbiguityMap, ambiguity_from_interval, check_ambiguity_axioms
@@ -78,8 +79,9 @@ class IncidenceMap:
 class Selector:
     """Rule choosing one atom inside each focal element.
 
-    ``min-index`` takes the lowest-indexed atom, ``seeded`` draws uniformly
-    from a stream derived from (seed, focal mask), ``explicit`` looks the
+    ``min-index`` takes the lowest-indexed atom; ``seeded`` takes atom
+    number ``derive_seed("selector", seed, mask) % |mask|`` of the focal
+    element, counting its atoms from the lowest; ``explicit`` looks the
     focal mask up in a table and fails for anything outside it.
     """
 
@@ -105,8 +107,7 @@ class Selector:
         if self.kind == "min-index":
             return (focal_mask & -focal_mask).bit_length() - 1
         if self.kind == "seeded":
-            rng = random.Random(derive_seed("selector", self.seed, focal_mask))
-            pick = rng.randrange(focal_mask.bit_count())
+            pick = derive_seed("selector", self.seed, focal_mask) % focal_mask.bit_count()
             mask = focal_mask
             for _ in range(pick):
                 mask &= mask - 1
@@ -134,11 +135,9 @@ def incidence_from_pointmap(g: PointMap, frame: Frame, space: SituationSpace) ->
         if not isinstance(atom, int) or not 0 <= atom < frame.m:
             raise ValueError(f"point map sends situation {w} outside the frame")
         atom_cells[atom] |= 1 << w
-    size = 1 << frame.m
-    table = [0] * size
-    for a in range(1, size):
-        low = a & -a
-        table[a] = table[a ^ low] | atom_cells[low.bit_length() - 1]
+    table = [0]
+    for cell in atom_cells:
+        table += [t | cell for t in table]
     return IncidenceMap(SetValuedMap(frame, space, tuple(table)), g)
 
 
@@ -197,7 +196,7 @@ def select_incidence(j: BasicAssignment, sel: Selector) -> IncidenceMap:
     """
     cells = j.map.table
     space = j.space
-    if cells[0] or sum(c.bit_count() for c in cells) != space.n or _union(cells) != space.full:
+    if cells[0] or sum(map(int.bit_count, cells)) != space.n or reduce(or_, cells) != space.full:
         raise AssignmentAxiomViolation("cells do not partition the situation space")
     targets = [0] * space.n
     for mask in range(1, len(cells)):
@@ -212,13 +211,6 @@ def select_incidence(j: BasicAssignment, sel: Selector) -> IncidenceMap:
             targets[low.bit_length() - 1] = atom
             cell ^= low
     return incidence_from_pointmap(PointMap(tuple(targets)), j.frame, space)
-
-
-def _union(cells) -> int:
-    acc = 0
-    for c in cells:
-        acc |= c
-    return acc
 
 
 def check_sandwich(s: IntervalStructure, i: IncidenceMap) -> AxiomReport:

@@ -14,6 +14,8 @@ first pair is the lexicographically smallest violating ordered pair.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .ambiguity import AmbiguityMap
 from .incidence import IncidenceMap
 from .interval import BasicAssignment, IntervalStructure, SetValuedMap
@@ -22,6 +24,12 @@ from .reports import AxiomReport, Verdict, Witness, failed, passed
 
 def _members(mask: int, width: int) -> frozenset[int]:
     return frozenset(k for k in range(width) if mask >> k & 1)
+
+
+@cache
+def _subsets(width: int) -> tuple[frozenset[int], ...]:
+    """Every subset of a ``width``-atom frame as a frozenset, in mask order."""
+    return tuple(_members(mask, width) for mask in range(1 << width))
 
 
 def _mask(members: frozenset[int]) -> int:
@@ -254,9 +262,8 @@ def oracle_verify(obj) -> AxiomReport:
 
 def oracle_lower_table(j: BasicAssignment) -> tuple[int, ...]:
     """lower(A) as the union of cells over all subsets, by full enumeration."""
-    width = j.map.frame.size
     cells = _sets(j.map)
-    subsets = [_members(mask, width) for mask in range(len(cells))]
+    subsets = _subsets(j.map.frame.size)
     out = []
     for a_set in subsets:
         acc = frozenset()
@@ -269,14 +276,13 @@ def oracle_lower_table(j: BasicAssignment) -> tuple[int, ...]:
 
 def oracle_upper_table(j: BasicAssignment) -> tuple[int, ...]:
     """upper(A) as the union of cells meeting A, by full enumeration."""
-    width = j.map.frame.size
     cells = _sets(j.map)
-    subsets = [_members(mask, width) for mask in range(len(cells))]
+    subsets = _subsets(j.map.frame.size)
     out = []
     for a_set in subsets:
         acc = frozenset()
         for b, b_set in enumerate(subsets):
-            if b_set & a_set:
+            if not b_set.isdisjoint(a_set):
                 acc = acc | cells[b]
         out.append(_mask(acc))
     return tuple(out)
@@ -284,9 +290,8 @@ def oracle_upper_table(j: BasicAssignment) -> tuple[int, ...]:
 
 def oracle_extract_table(s: IntervalStructure) -> tuple[int, ...]:
     """Cells as lower(A) minus every strict-subset lower image, enumerated."""
-    width = s.lower.frame.size
     lower = _sets(s.lower)
-    subsets = [_members(mask, width) for mask in range(len(lower))]
+    subsets = _subsets(s.lower.frame.size)
     out = []
     for a, a_set in enumerate(subsets):
         acc = frozenset()

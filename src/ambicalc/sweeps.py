@@ -35,7 +35,7 @@ _PACK_CHUNK = 1024
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit stream seed from a tuple of labels and ints."""
-    text = "\x1f".join(str(p) for p in parts)
+    text = "\x1f".join(map(str, parts))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

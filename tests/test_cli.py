@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -89,6 +90,31 @@ def test_check_failing_document(tmp_path):
     code, text = run_command(["check", str(path)])
     assert code == 1
     assert "j3 ✗" in text
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [
+        ("fix1_probability.json", ["nonnegative", "normalized"]),
+        ("fix1_mass.json", ["no-mass-on-empty", "positive", "normalized"]),
+    ],
+)
+def test_check_numeric_document_bytes(name, rows):
+    assert run_command(["check", fx(name)]) == (0, "\n".join(f"{row} ✓" for row in rows))
+    verdicts = [{"axiom": row, "ok": True} for row in rows]
+    expected = json.dumps({"ok": True, "verdicts": verdicts}, indent=2)
+    assert run_command(["check", fx(name), "--format", "json"]) == (0, expected)
+
+
+def test_check_negative_weight_is_a_loader_error(tmp_path):
+    doc = {
+        "kind": "probability",
+        "situations": ["w1", "w2"],
+        "body": {"w1": "3/2", "w2": "-1/2"},
+    }
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_command(["check", str(path)]) == (1, "error: weight of w2 is negative")
 
 
 def test_validate_flag_rejects_bad_input(tmp_path):
@@ -210,6 +236,32 @@ def test_decompose_to_files(tmp_path):
     )
     assert amb_path.read_text(encoding="utf-8") == (FIXTURES / "fix1_ambiguity.json").read_text(
         encoding="utf-8"
+    )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_seeded_selector_output_bytes(tmp_path):
+    # recorded when the seeded pick became derive_seed modulo the focal size
+    code, text = run_command(["incidence", fx("fix1_assignment.json"), "--selector", "seed:7"])
+    assert code == 0
+    assert _sha256(text) == "a57bc529983d311cf758e78a89fb7008a91292ad24d9d07e4cb1b4cd89a1eae1"
+    code, text = run_command(["decompose", fx("fix1_interval.json"), "--selector", "seed:3"])
+    assert code == 0
+    assert _sha256(text) == "b515b1193ec4bfb99a5513875f7ef3038e0f2f066aaaf8749e283703232b6f1b"
+    inc, amb = tmp_path / "inc.json", tmp_path / "amb.json"
+    code, text = run_command(
+        ["decompose", fx("fix1_interval.json"), "--selector", "seed:3",
+         "--out-incidence", str(inc), "--out-ambiguity", str(amb)]
+    )
+    assert (code, text) == (0, "")
+    assert _sha256(inc.read_text(encoding="utf-8")) == (
+        "708f6c3012e164fcb667da77a64085cae22a6bff7a2228a39137d2737f233c24"
+    )
+    assert _sha256(amb.read_text(encoding="utf-8")) == (
+        "2961a70f702743abf08c66e595078a0d567005d6771b8e0bb27fb7565f7b1a5d"
     )
 
 

@@ -21,8 +21,16 @@ from ambicalc import (
 )
 from ambicalc.cli import run_command
 from ambicalc.errors import UsageError
-from ambicalc.harness import _drop_atom, _drop_situation, _shrink_map, worker_count
+from ambicalc.harness import (
+    _drop_atom,
+    _drop_situation,
+    _shrink_map,
+    _trial_config,
+    worker_count,
+)
+from ambicalc.incidence import Selector
 from ambicalc.interval import check_assignment
+from ambicalc.sweeps import derive_seed
 
 # SHA-256 of the fuzz output of each configuration, recorded before the
 # per-trial work was deduplicated: a change to any report's bytes shows here.
@@ -210,7 +218,29 @@ def _count_calls(monkeypatch, names) -> dict:
     return counts
 
 
+def _new_seeded_picks(cfg: GenConfig) -> int:
+    """Seeded selections of a fuzz run that pick, on the focal elements of
+    their trial's assignment, differently from the min-index selection and
+    from every seeded one before them in the trial.  Equal picks give equal
+    incidence tables, and different picks different ones."""
+    new = 0
+    for trial in range(cfg.trials):
+        cells = gen_assignment(_trial_config(cfg, trial)).map.table
+        focal = [mask for mask, cell in enumerate(cells) if cell]
+        seen = {tuple(Selector.min_index().choose(mask) for mask in focal)}
+        for k in range(cfg.seeded_selectors):
+            sel = Selector.seeded(derive_seed("selector-seed", cfg.seed, trial, k))
+            picks = tuple(sel.choose(mask) for mask in focal)
+            new += picks not in seen
+            seen.add(picks)
+    return new
+
+
 def test_each_fact_is_computed_once_per_trial(monkeypatch):
+    cfg = GenConfig(m=5, n=10, seed=4, trials=40)
+    new = _new_seeded_picks(cfg)
+    # the run has repeated tables to skip and new ones to check
+    assert 0 < new < cfg.trials * cfg.seeded_selectors
     counts = _count_calls(
         monkeypatch,
         [
@@ -222,19 +252,19 @@ def test_each_fact_is_computed_once_per_trial(monkeypatch):
         ],
     )
     monkeypatch.delenv("AMBIG_THREADS", raising=False)
-    cfg = GenConfig(m=5, n=10, seed=4, trials=40)
     assert fuzz(cfg).ok
-    assert {name: calls / cfg.trials for name, calls in counts.items()} == {
+    assert counts == {
         # the harness's own round trip; later stages reuse the carried one
-        "interval.extract_assignment": 1,
-        # the harness checks each selected incidence map once
-        "incidence.check_incidence_axioms": 1 + cfg.seeded_selectors,
+        "interval.extract_assignment": cfg.trials,
+        # the harness checks each distinct incidence table of a trial once:
+        # the min-index one, and each seeded one not seen before in the trial
+        "incidence.check_incidence_axioms": cfg.trials + new,
         # the harness's check, and compose_interval's input guard
-        "ambiguity.check_ambiguity_axioms": 2,
+        "ambiguity.check_ambiguity_axioms": 2 * cfg.trials,
         "interval.make_interval_structure": 0,
         # the harness's check, and structure_from_assignment's input guard;
         # structure_from_mass builds its singleton cells without the guard
-        "interval.check_assignment": 2,
+        "interval.check_assignment": 2 * cfg.trials,
     }
 
 

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from ambicalc import (
     incidence_from_pointmap,
     select_incidence,
 )
+from ambicalc.sweeps import derive_seed
 
 
 def all_explicit_selectors(j):
@@ -61,6 +63,25 @@ def test_selector_behaviour():
         Selector.explicit({0b01: 1}).choose(0b01)  # atom outside the subset
     with pytest.raises(SelectorDomainError):
         sel.choose(0)
+
+
+def test_seeded_choice_is_stable_and_follows_its_rule():
+    # atom number derive_seed("selector", seed, mask) mod |mask| of the mask
+    for seed in (*range(20), 2**70):
+        sel = Selector.seeded(seed)
+        for mask in range(1, 1 << 6):
+            atoms = [k for k in range(6) if mask >> k & 1]
+            pick = sel.choose(mask)
+            assert pick == atoms[derive_seed("selector", seed, mask) % len(atoms)]
+            assert Selector.seeded(seed).choose(mask) == pick
+
+
+def test_seeded_choice_is_uniform_over_the_focal_atoms():
+    seeds = 3000
+    picks = Counter(Selector.seeded(seed).choose(0b10101) for seed in range(seeds))
+    assert set(picks) == {0, 2, 4}
+    for count in picks.values():
+        assert abs(count / seeds - 1 / 3) <= 0.05
 
 
 def test_all_explicit_selectors_small_fixtures(fix1, fix3):
