@@ -15,7 +15,6 @@ from .errors import (
     AxiomViolation,
     DualityViolation,
     DuplicateElement,
-    EmptyMass,
     FrameMismatch,
     IncidenceAxiomViolation,
     IncompatiblePair,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .ambiguity import AmbiguityMap, ambiguity_from_interval, check_ambiguity_axioms
 from .documents import _parse_subset_key, document_for, dumps, loads
-from .errors import AmbicalcError, ParseError, SchemaError, UsageError, ValidationError
+from .errors import AmbicalcError, ParseError, SchemaError, UsageError
 from .frames import Frame
 from .harness import GenConfig, fuzz, gen_assignment, gen_pointmap, gen_probability, universes_for
 from .incidence import (
@@ -70,16 +70,8 @@ def _axiom_report(obj):
     return None
 
 
-def _load(path: str, args=None):
-    kind, obj = loads(_read(path))
-    if args is not None and args.validate:
-        report = _axiom_report(obj)
-        if report is not None and not report.ok:
-            raise ValidationError(
-                f"{path}: axioms violated: {', '.join(report.failed_axioms())}",
-                report=report,
-            )
-    return kind, obj
+def _load(path: str):
+    return loads(_read(path))[1]
 
 
 def _validated_structure(obj) -> IntervalStructure:
@@ -92,13 +84,6 @@ def _expect(obj, cls, kind: str):
     if not isinstance(obj, cls):
         raise SchemaError(f"expected a {kind} document")
     return obj
-
-
-def _deliver(text: str, args) -> str:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
-        return ""
-    return text
 
 
 def _report_text(report: AxiomReport, as_json: bool) -> str:
@@ -134,8 +119,7 @@ def _parse_selector(arg: str | None, frame: Frame) -> Selector:
 
 
 def _cmd_check(args):
-    # reporting violations is the command's job, so skip the --validate pre-pass
-    _, obj = _load(args.file)
+    obj = _load(args.file)
     report = _axiom_report(obj)
     # the loader's constructors reject numeric documents that break these rows
     if report is None and isinstance(obj, ProbabilityAssignment):
@@ -146,7 +130,7 @@ def _cmd_check(args):
 
 
 def _cmd_oracle(args):
-    _, obj = _load(args.file)
+    obj = _load(args.file)
     if isinstance(obj, (ProbabilityAssignment, MassFunction)):
         raise SchemaError("the oracle checks set-valued documents only")
     report = oracle_verify(obj)
@@ -154,33 +138,33 @@ def _cmd_oracle(args):
 
 
 def _cmd_extract(args):
-    _, obj = _load(args.file, args)
+    obj = _load(args.file)
     s = _validated_structure(obj)
-    return 0, _deliver(dumps(extract_assignment(s)), args)
+    return 0, dumps(extract_assignment(s))
 
 
 def _cmd_build(args):
-    _, obj = _load(args.file, args)
+    obj = _load(args.file)
     j = _expect(obj, BasicAssignment, "assignment")
     s = structure_from_assignment(j)
-    return 0, _deliver(dumps(s), args)
+    return 0, dumps(s)
 
 
 def _cmd_ambiguity(args):
-    _, obj = _load(args.file, args)
+    obj = _load(args.file)
     s = _validated_structure(obj)
-    return 0, _deliver(dumps(ambiguity_from_interval(s)), args)
+    return 0, dumps(ambiguity_from_interval(s))
 
 
 def _cmd_incidence(args):
-    _, obj = _load(args.file, args)
+    obj = _load(args.file)
     j = _expect(obj, BasicAssignment, "assignment")
     sel = _parse_selector(args.selector, j.map.frame)
-    return 0, _deliver(dumps(select_incidence(j, sel)), args)
+    return 0, dumps(select_incidence(j, sel))
 
 
 def _cmd_decompose(args):
-    _, obj = _load(args.file, args)
+    obj = _load(args.file)
     s = _validated_structure(obj)
     sel = _parse_selector(args.selector, s.lower.frame)
     inc, amb = decompose_interval(s, sel)
@@ -198,18 +182,18 @@ def _cmd_decompose(args):
 
 
 def _cmd_compose(args):
-    _, inc = _load(args.incidence_file, args)
-    _, amb = _load(args.ambiguity_file, args)
+    inc = _load(args.incidence_file)
+    amb = _load(args.ambiguity_file)
     inc = _expect(inc, IncidenceMap, "incidence")
     amb = _expect(amb, AmbiguityMap, "ambiguity")
     s = compose_interval(inc, amb)
-    return 0, _deliver(dumps(s), args)
+    return 0, dumps(s)
 
 
 def _load_pair(args):
-    _, obj = _load(args.interval_file, args)
+    obj = _load(args.interval_file)
     s = _validated_structure(obj)
-    _, prob = _load(args.probability_file, args)
+    prob = _load(args.probability_file)
     prob = _expect(prob, ProbabilityAssignment, "probability")
     return s, prob
 
@@ -250,7 +234,7 @@ def _cmd_belief(args):
 
 
 def _cmd_from_mass(args):
-    _, mass = _load(args.file, args)
+    mass = _load(args.file)
     mass = _expect(mass, MassFunction, "mass")
     _, prob, j, s = structure_from_mass(mass)
     combined = {
@@ -258,7 +242,7 @@ def _cmd_from_mass(args):
         "assignment": document_for(j),
         "interval": document_for(s),
     }
-    return 0, _deliver(json.dumps(combined, ensure_ascii=False, indent=2), args)
+    return 0, json.dumps(combined, ensure_ascii=False, indent=2)
 
 
 def _cmd_fishburn(args):
@@ -284,7 +268,7 @@ def _cmd_gen(args):
     else:
         frame, space = universes_for(cfg)
         text = dumps(incidence_from_pointmap(gen_pointmap(cfg), frame, space))
-    return 0, _deliver(text, args)
+    return 0, text
 
 
 def _cmd_fuzz(args):
@@ -303,7 +287,7 @@ def _cmd_fuzz(args):
         text = json.dumps(report.to_json_obj(), ensure_ascii=False, indent=2)
     else:
         text = report.render()
-    return (0 if report.ok else 1), _deliver(text, args)
+    return (0 if report.ok else 1), text
 
 
 @functools.cache
@@ -314,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     and one instance serves every ``run_command`` call.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--validate", action="store_true", help="check axioms while loading")
     common.add_argument("--seed", type=int, default=0, metavar="N", help="master seed")
     common.add_argument("--out", metavar="FILE", help="write the result to FILE")
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -383,7 +366,11 @@ def run_command(argv) -> tuple[int, str]:
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+            text = ""
+        return code, text
     except (ParseError, SchemaError, UsageError) as exc:
         return 2, f"error: {exc}"
     except OSError as exc:

@@ -63,10 +63,6 @@ class SelectorDomainError(AmbicalcError):
     """A selector cannot produce an atom for some focal element."""
 
 
-class EmptyMass(AmbicalcError):
-    """A mass function with no focal elements was requested."""
-
-
 class InternalInvariantFailure(AmbicalcError):
     """A property the engine guarantees by construction was observed to fail."""
 

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    EmptyMass,
-    FrameMismatch,
-    InternalInvariantFailure,
-    SpaceMismatch,
-    ValidationError,
-)
+from .errors import FrameMismatch, SpaceMismatch, ValidationError
 from .frames import Frame, SituationSpace
 from .interval import (
     BasicAssignment,
@@ -216,7 +210,9 @@ def belief_from_structure(s: IntervalStructure, p: ProbabilityAssignment) -> Bel
     """Bel(A) = P(lower(A)), Pl(A) = P(upper(A)), α(A) = P(upper(A) − lower(A)).
 
     All three are computed as integers over the weights' common denominator;
-    each distinct value becomes a ``Fraction`` once.
+    each distinct value becomes a ``Fraction`` once.  α is the probability of
+    the gap itself, not Pl − Bel, so ``BeliefReport``'s check α = Pl − Bel
+    rejects a pair whose lower map is not inside its upper map.
     """
     if s.space != p.space:
         raise SpaceMismatch("structure and probability use different spaces")
@@ -225,14 +221,9 @@ def belief_from_structure(s: IntervalStructure, p: ProbabilityAssignment) -> Bel
     pl = []
     alpha = []
     for lo, up in zip(s.lower.table, s.upper.table):
-        b = scaled(lo)
-        u = scaled(up)
-        gap = scaled(up & ~lo)
-        if gap != u - b:
-            raise InternalInvariantFailure("gap probability disagrees with Pl − Bel")
-        bel.append(b)
-        pl.append(u)
-        alpha.append(gap)
+        bel.append(scaled(lo))
+        pl.append(scaled(up))
+        alpha.append(scaled(up & ~lo))
     den = p.denominator
     memo = {v: Fraction(v, den) for v in {*bel, *pl, *alpha}}
     get = memo.__getitem__
@@ -251,8 +242,6 @@ def mass_from_structure(s: IntervalStructure, p: ProbabilityAssignment) -> MassF
         value = p._scaled_of(cells.map.table[mask])
         if value > 0:
             masses[mask] = Fraction(value, p.denominator)
-    if not masses:
-        raise InternalInvariantFailure("a partition of the space lost all its mass")
     return MassFunction.from_dict(s.frame, masses)
 
 
@@ -296,8 +285,6 @@ def structure_from_mass(
     the default situation cap is refused, so every model it writes loads back.
     """
     focals = mass.focal_masks()
-    if not focals:
-        raise EmptyMass("mass function has no focal elements")
     cap = SituationSpace.DEFAULT_CAP
     if len(focals) > cap:
         raise ValidationError(

@@ -49,9 +49,6 @@ class AxiomReport:
     def ok(self) -> bool:
         return all(v.ok for v in self.verdicts)
 
-    def failed_axioms(self) -> tuple[str, ...]:
-        return tuple(v.axiom for v in self.verdicts if not v.ok)
-
     def find(self, axiom: str) -> Verdict:
         for v in self.verdicts:
             if v.axiom == axiom:

@@ -252,9 +252,13 @@ def _sublattice_failure(family: int, has: list) -> tuple[int, int] | None:
     family is closed iff it holds every A with L ⊆ A ⊆ U and c(x) ⊆ A for
     each x ∈ A, where L and U are the meet and the join of all members and
     c(x) is the meet of the members holding x; every family lies inside that
-    set.  The lowest such A missing is rebuilt from members, by meets down to
-    L and to each c(x) and then joins up to A; the first step whose result is
-    no member names the pair.
+    set.  The lowest such A missing is rebuilt from members, step by step:
+    L, then for each atom x of A not yet in the union so far, c(x) and the
+    join of the union with it.  L and c(x) are meets of members.  Such a
+    meet G fails when it is not the lowest member M of the members it is
+    the meet of: then M and one of those members that lacks the lowest atom
+    of M − G meet below M, so at no member.  A join fails when it is no
+    member.  The first step that fails names the pair.
     """
     if not family:
         return None
@@ -278,26 +282,25 @@ def _sublattice_failure(family: int, has: list) -> tuple[int, int] | None:
         return None
     target = _lowest(closed & ~family)
 
-    def meets(members, goal):
-        cur = _lowest(members)
-        while cur != goal:
-            other = _lowest(members & ~has[_lowest(cur & ~goal)])
-            yield cur, other, cur & other
-            cur &= other
+    def meet_pair(members, goal):
+        # the meet of the lowest member and the other is a proper subset of
+        # the lowest member, so a lower mask, and thus no member
+        first = _lowest(members)
+        if first == goal:
+            return None
+        return _pair(first, _lowest(members & ~has[_lowest(first & ~goal)]))
 
-    def steps():
-        yield from meets(family, low)
-        cur = low
-        for x in atoms:
-            if target >> x & 1 and not cur >> x & 1:
-                yield from meets(family & has[x], core[x])
-                yield cur, core[x], cur | core[x]
-                cur |= core[x]
-
+    if (hit := meet_pair(family, low)) is not None:
+        return hit
+    cur = low
+    for x in atoms:
+        if target >> x & 1 and not cur >> x & 1:
+            if (hit := meet_pair(family & has[x], core[x])) is not None:
+                return hit
+            if not family >> (cur | core[x]) & 1:
+                return _pair(cur, core[x])
+            cur |= core[x]
     # the last join gives target, which is no member, so this always returns
-    for a, b, result in steps():
-        if not family >> result & 1:
-            return _pair(a, b)
 
 
 def mixed_union_failure(t, misses=None):

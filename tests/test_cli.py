@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from ambicalc.cli import build_parser, run_command
-from ambicalc.documents import loads
+from ambicalc.documents import load_object, loads
+from ambicalc.errors import AxiomViolation
+from ambicalc.interval import make_interval_structure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -117,7 +119,7 @@ def test_check_negative_weight_is_a_loader_error(tmp_path):
     assert run_command(["check", str(path)]) == (1, "error: weight of w2 is negative")
 
 
-def test_validate_flag_rejects_bad_input(tmp_path):
+def test_build_rejects_bad_input_through_its_constructor(tmp_path):
     doc = {
         "kind": "assignment",
         "atoms": ["x"],
@@ -126,9 +128,8 @@ def test_validate_flag_rejects_bad_input(tmp_path):
     }
     path = tmp_path / "uncovered.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, text = run_command(["build", str(path), "--validate"])
-    assert code == 1
-    assert "j2" in text
+    code, text = run_command(["build", str(path)])
+    assert (code, text) == (1, "error: j2 fails: situation w2 lies in no cell")
 
 
 def test_compose_incompatible_pair_message():
@@ -407,7 +408,7 @@ def test_name_with_a_lone_surrogate_is_exit_2(tmp_path, field, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [["--sample", "5"], ["--exhaustive"]])
+@pytest.mark.parametrize("flag", [["--sample", "5"], ["--exhaustive"], ["--validate"]])
 def test_removed_sweep_flags_are_exit_2(flag):
     assert run_command(["check", fx("fix1_interval.json"), *flag])[0] == 2
 
@@ -441,3 +442,142 @@ def test_parser_is_built_once_and_reused():
     assert run_command(["check", fx("fix1_interval.json"), "--format", "yaml"])[0] == 2
     assert run_command(["incidence", fx("fix1_assignment.json"), "--selector", "bogus"])[0] == 2
     assert run_command(argv) == alone
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the first five have no output file of their own
+        ["check", fx("fix1_interval.json")],
+        ["oracle", fx("fix1_interval.json")],
+        ["belief", fx("fix1_interval.json"), fx("fix1_probability.json")],
+        ["fishburn", fx("fix1_interval.json"), fx("fix1_probability.json")],
+        ["decompose", fx("fix1_interval.json")],
+        ["build", fx("fix1_assignment.json")],
+        ["extract", fx("fix1_interval.json")],
+        ["gen", "--kind", "assignment"],
+        ["fuzz", "--trials", "3", "--atoms", "3", "--situations", "4"],
+    ],
+)
+def test_out_writes_the_printed_text_and_prints_nothing(tmp_path, argv):
+    code, text = run_command(argv)
+    out = tmp_path / "out.txt"
+    assert run_command([*argv, "--out", str(out)]) == (code, "")
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_out_to_a_path_that_cannot_be_written_is_exit_2(tmp_path):
+    out = tmp_path / "missing" / "out.txt"
+    code, text = run_command(["check", fx("fix1_interval.json"), "--out", str(out)])
+    assert code == 2 and text.startswith("error: ")
+    assert not out.exists()
+
+
+def test_an_error_goes_to_stdout_not_to_out(tmp_path):
+    out = tmp_path / "out.txt"
+    argv = ["check", str(tmp_path / "missing.json"), "--out", str(out)]
+    code, text = run_command(argv)
+    assert code == 2 and text.startswith("error: ")
+    assert not out.exists()
+
+
+def _interval_flips():
+    """fix1_interval.json with one bit of one image flipped, for every bit:
+    each breaks the duality, or an upper axiom first."""
+    doc = json.loads((FIXTURES / "fix1_interval.json").read_text(encoding="utf-8"))
+    keys = ["", "x", "y", "x,y"]
+    for side in ("lower", "upper"):
+        for key in keys:
+            for situation in doc["situations"]:
+                flipped = json.loads(json.dumps(doc))
+                image = flipped["body"][side].setdefault(key, [])
+                if situation in image:
+                    image.remove(situation)
+                else:
+                    image.append(situation)
+                image.sort()
+                if not image:
+                    del flipped["body"][side][key]
+                yield f"{side}-{key or 'empty'}-{situation}", flipped
+
+
+@pytest.mark.parametrize("name, doc", list(_interval_flips()))
+def test_interval_commands_reject_a_flipped_bit_through_the_gate(tmp_path, name, doc):
+    s = load_object(doc)
+    with pytest.raises(AxiomViolation) as info:
+        make_interval_structure(s.lower, s.upper)
+    expected = (1, f"error: {info.value}")
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    prob = fx("fix1_probability.json")
+    for argv in (["extract", path], ["ambiguity", path], ["decompose", path],
+                 ["belief", path, prob], ["fishburn", path, prob]):
+        assert run_command([str(arg) for arg in argv]) == expected
+
+
+def test_a_flipped_bit_reports_the_first_failing_defining_axiom(tmp_path):
+    flips = dict(_interval_flips())
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(flips["lower-x-w3"]), encoding="utf-8")
+    assert run_command(["extract", str(path)]) == (
+        1, "error: duality fails: A={x}: lower image {w1,w3} vs complement of upper ¬A image {w1}"
+    )
+    path.write_text(json.dumps(flips["upper-x,y-w3"]), encoding="utf-8")
+    assert run_command(["extract", str(path)]) == (1, "error: f̄2 fails: image of Θ is {w1,w2}")
+
+
+def _write(tmp_path, name: str, doc) -> str:
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+_TWO = {"kind": "assignment", "atoms": ["x", "y"], "situations": ["w1", "w2"]}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["incidence", fx("fix1_assignment.json"), "--selector", "seed:x"],
+         (2, "error: bad selector seed in 'seed:x'")),
+        (["incidence", fx("fix1_assignment.json"), "--selector", "@TABLE", [1]],
+         (2, "error: a selector table must be a JSON object")),
+        (["incidence", fx("fix1_assignment.json"), "--selector", "@TABLE", {"x": 1}],
+         (2, "error: selector value for 'x' must be an atom name")),
+        (["check", {**_TWO, "atoms": "x", "body": {}}],
+         (2, "error: atoms must be a list of strings")),
+        (["check", {**_TWO, "situations": ["w1", "w1"], "body": {}}],
+         (2, "error: situation space element 'w1' declared twice")),
+        (["check", {**_TWO, "body": []}], (2, "error: body must be an object")),
+        (["check", {**_TWO, "kind": "incidence", "body": []}],
+         (2, "error: body must be an object")),
+        (["check", {"kind": "probability", "situations": ["w1"], "body": []}],
+         (2, "error: body must be an object")),
+        (["check", {"kind": "probability", "situations": ["w1"], "body": {"w1": "1", "w9": "0"}}],
+         (2, "error: unknown situation name: 'w9'")),
+        (["check", {"kind": "mass", "atoms": ["x"], "body": []}],
+         (2, "error: body must be an object")),
+        (["check", {"kind": "mass", "atoms": ["x"], "body": {"x": "1/0"}}],
+         (2, "error: not a rational literal: '1/0'")),
+        (["incidence", {**_TWO, "body": {"x": ["w1", "w2"], "y": ["w2"]}}],
+         (1, "error: cells do not partition the situation space")),
+        (["compose", fx("fix1_incidence.json"),
+          {"kind": "ambiguity", "atoms": ["x", "z"], "situations": ["w1", "w2", "w3"], "body": {}}],
+         (1, "error: incidence and ambiguity maps use different frames")),
+        (["compose", fx("fix1_incidence.json"),
+          {"kind": "ambiguity", "atoms": ["x", "y"], "situations": ["w1", "w2", "w4"], "body": {}}],
+         (1, "error: incidence and ambiguity maps use different spaces")),
+    ],
+)
+def test_guard_texts(tmp_path, argv, expected):
+    """A dict in ``argv`` is a document written to a file; after "@TABLE",
+    it is the selector table."""
+    args = []
+    for k, arg in enumerate(argv):
+        if isinstance(arg, str):
+            args.append(arg)
+        elif argv[k - 1] == "@TABLE":
+            args[-1] = "@" + _write(tmp_path, "table.json", arg)
+        else:
+            args.append(_write(tmp_path, f"doc{k}.json", arg))
+    assert run_command(args) == expected

@@ -16,7 +16,14 @@ from ambicalc import (
     decompose_interval,
     mass_from_structure,
 )
-from ambicalc.documents import document_for, dumps, loads, parse_document, render_document
+from ambicalc.documents import (
+    document_for,
+    dumps,
+    load_object,
+    loads,
+    parse_document,
+    render_document,
+)
 
 
 def test_assignment_roundtrip(fix1):
@@ -220,3 +227,14 @@ def test_keys_in_any_order_parse_to_the_same_table(fix1):
     doc = document_for(fix1["j"])
     shuffled = dict(doc, body=dict(reversed(list(doc["body"].items()))))
     assert loads(json.dumps(shuffled))[1] == fix1["j"]
+
+
+def test_guards_that_json_text_cannot_reach():
+    # parse_document rejects an unknown kind before load_object sees it
+    with pytest.raises(SchemaError, match="^unknown document kind: 'bogus'$"):
+        load_object({"kind": "bogus"})
+    # JSON object keys are always strings
+    with pytest.raises(SchemaError, match="^subset key must be a string, got 1$"):
+        load_object({"kind": "mass", "atoms": ["x"], "body": {1: "1"}})
+    with pytest.raises(TypeError, match="^no document format for object$"):
+        document_for(object())

@@ -98,15 +98,13 @@ def argvs(draw, doc: str, workdir: Path) -> list[str]:
             if draw(st.booleans()):
                 argv.append(flag)
     if draw(st.booleans()):
-        argv.append("--validate")
-    if draw(st.booleans()):
         argv += ["--seed", draw(seeds | st.just("x"))]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json", "yaml"]))]
     if draw(st.booleans()):
         argv += ["--out", str(workdir / "out.json")]
     if draw(st.integers(0, 9)) == 0:
-        stray = draw(st.sampled_from(["--help", "-x", "--", "--sample"]))
+        stray = draw(st.sampled_from(["--help", "-x", "--", "--sample", "--validate"]))
         argv.insert(draw(st.integers(0, len(argv))), stray)
     return argv
 

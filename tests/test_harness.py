@@ -19,8 +19,9 @@ from ambicalc import (
     gen_probability,
     universes_for,
 )
+from ambicalc import harness
 from ambicalc.cli import run_command
-from ambicalc.errors import UsageError
+from ambicalc.errors import UsageError, ValidationError
 from ambicalc.harness import (
     _drop_atom,
     _drop_situation,
@@ -29,7 +30,8 @@ from ambicalc.harness import (
     worker_count,
 )
 from ambicalc.incidence import Selector
-from ambicalc.interval import check_assignment
+from ambicalc.interval import axiom_report, check_assignment
+from ambicalc.reports import AxiomReport, Verdict, Witness
 from ambicalc.sweeps import derive_seed
 
 # SHA-256 of the fuzz output of each configuration, recorded before the
@@ -346,3 +348,125 @@ def test_unguarded_script_with_workers_gets_an_error_naming_the_guard(tmp_path):
     error = next(line for line in done.stderr.splitlines() if line.startswith(prefix))
     assert 'if __name__ == "__main__":' in error
     assert "BrokenProcessPool:" not in done.stderr
+
+
+_HEAD = """fuzz report
+seed: 5
+trials: 4
+max-atoms: 3
+max-situations: 4
+"""
+_SHRUNK_N3 = (
+    '{"kind":"assignment","atoms":["x1"],"situations":["w1","w2","w3"],'
+    '"body":{"x1":["w1","w2","w3"]}}'
+)
+FAILING_REPORTS = {
+    "ambiguity-check": (_HEAD + f"""mode: standard
+seeded-selectors: 5
+properties:
+  assignment-roundtrip: pass=4 fail=0
+  ambiguity-axioms: pass=2 fail=2
+  incidence-selection: pass=4 fail=0
+  decompose-compose: pass=4 fail=0
+  belief-bridge: pass=4 fail=0
+  alpha-axioms: pass=4 fail=0
+  oracle-agreement: pass=2 fail=2
+failures:
+  trial=0 seed=6059091996828100695
+    failed: ambiguity-axioms,oracle-agreement
+    shrunk: {_SHRUNK_N3}
+  trial=3 seed=15036047841275459636
+    failed: ambiguity-axioms,oracle-agreement
+    shrunk: {_SHRUNK_N3}""",
+        "e30b82b096963a46bbaad61044d6c37839291cb4a0c5d0e7529047ddc026258f"),
+    "raising-stage": (_HEAD + f"""mode: standard
+seeded-selectors: 5
+properties:
+  assignment-roundtrip: pass=4 fail=0
+  ambiguity-axioms: pass=4 fail=0
+  incidence-selection: pass=4 fail=0
+  decompose-compose: pass=4 fail=0
+  belief-bridge: pass=2 fail=2
+  alpha-axioms: pass=2 fail=2
+  oracle-agreement: pass=2 fail=2
+failures:
+  trial=0 seed=6059091996828100695
+    failed: belief-bridge,alpha-axioms,oracle-agreement
+    note: ValidationError: injected
+    shrunk: {_SHRUNK_N3}
+  trial=3 seed=15036047841275459636
+    failed: belief-bridge,alpha-axioms,oracle-agreement
+    note: ValidationError: injected
+    shrunk: {_SHRUNK_N3}""",
+        "dc30409d5c3c7e9db4c045513c7abb2af1badddca38a41ce8221d07973bc26e2"),
+    "blind-checkers": (_HEAD + """mode: fault-injection
+seeded-selectors: 5
+properties:
+  fault-detected: pass=0 fail=4
+  oracle-agreement: pass=0 fail=4
+failures:
+  trial=0 seed=6059091996828100695
+    failed: fault-detected,oracle-agreement
+    shrunk: {"kind":"assignment","atoms":["x1"],"situations":["w1"],"body":{"x1":["w1"]}}
+  trial=1 seed=289072581468725476
+    failed: fault-detected,oracle-agreement
+    shrunk: {"kind":"interval","atoms":["x1","x2","x3"],"situations":["w1"],"body":{"lower":{"x1,x2,x3":["w1"]},"upper":{"x1":["w1"],"x1,x2":["w1"],"x3":["w1"],"x1,x3":["w1"],"x2,x3":["w1"],"x1,x2,x3":["w1"]}}}
+  trial=2 seed=8166484112599602399
+    failed: fault-detected,oracle-agreement
+    shrunk: {"kind":"assignment","atoms":["x1"],"situations":["w1"],"body":{}}
+  trial=3 seed=15036047841275459636
+    failed: fault-detected,oracle-agreement
+    shrunk: {"kind":"interval","atoms":["x1","x2"],"situations":["w1","w2","w3"],"body":{"lower":{"x1":["w2"],"x2":["w1","w3"],"x1,x2":["w1","w2","w3"]},"upper":{"x1":["w2"],"x2":["w1","w3"],"x1,x2":["w1","w3"]}}}""",
+        "5a53a009940ebba1f865594b4ae1e235df83c55f165535f2e10f8ed6f30e4bf5"),
+}
+
+
+def _break_the_harness(monkeypatch, how: str) -> list[str]:
+    """Patch one checker or stage of the harness, in this process, so that
+    some trials fail; return the fuzz flags for the matching mode."""
+    monkeypatch.delenv("AMBIG_THREADS", raising=False)
+    if how == "ambiguity-check":
+        # a false a1 alarm on every ambiguity map of 3 or more situations,
+        # so the shrink stops at 3 situations and 1 atom
+        original = harness.check_ambiguity_axioms
+
+        def alarm(m):
+            if m.space.n >= 3:
+                return axiom_report(("a1", Witness(detail="injected")))
+            return original(m)
+
+        monkeypatch.setattr(harness, "check_ambiguity_axioms", alarm)
+        return []
+    if how == "raising-stage":
+        original_belief = harness.belief_from_structure
+
+        def belief(s, p):
+            if s.space.n >= 3:
+                raise ValidationError("injected")
+            return original_belief(s, p)
+
+        monkeypatch.setattr(harness, "belief_from_structure", belief)
+        return []
+    # checkers that pass everything miss every injected fault: the flipped
+    # assignments shrink, the flipped structures are reported as they are
+    def blind(check):
+        def passes(*args):
+            report = check(*args)
+            return AxiomReport(tuple(Verdict(v.axiom, True, None) for v in report.verdicts))
+
+        return passes
+
+    monkeypatch.setattr(harness, "check_assignment", blind(harness.check_assignment))
+    monkeypatch.setattr(harness, "check_structure", blind(harness.check_structure))
+    return ["--fault-injection"]
+
+
+@pytest.mark.parametrize("how", sorted(FAILING_REPORTS))
+def test_failing_trials_are_reported_and_shrunk(monkeypatch, how):
+    flags = _break_the_harness(monkeypatch, how)
+    argv = ["fuzz", "--trials", "4", "--atoms", "3", "--situations", "4", "--seed", "5", *flags]
+    text, json_digest = FAILING_REPORTS[how]
+    assert run_command(argv) == (1, text)
+    code, json_text = run_command([*argv, "--format", "json"])
+    assert code == 1
+    assert _digest(json_text) == json_digest

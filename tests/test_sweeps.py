@@ -37,7 +37,9 @@ from ambicalc import (
 )
 from ambicalc.numeric import BeliefReport, fishburn_report
 from ambicalc.sweeps import (
+    _holding,
     _pack,
+    _sublattice_failure,
     compat_failure,
     first_compat_violation,
     first_inter_bound_violation,
@@ -537,3 +539,52 @@ def test_a_one_bit_faulty_ambiguity_map_at_sixteen_atoms():
     report = check_ambiguity_axioms(SetValuedMap(frame, space, tuple(gap)))
     assert not report.ok
     assert_witnesses_hold(report, {"amb": gap}, space.full)
+
+
+def _closed(family: int) -> bool:
+    members = [a for a in range(family.bit_length()) if family >> a & 1]
+    return all(family >> (a | b) & 1 and family >> (a & b) & 1 for a in members for b in members)
+
+
+def _near_sublattices(rng: random.Random, m: int):
+    """Random families at m atoms: half of them dense noise, half the
+    closure under ∪ and ∩ of a few random subsets with up to two members
+    toggled, so that both verdicts occur."""
+    size = 1 << m
+    while True:
+        yield rng.getrandbits(size)
+        family = 0
+        for _ in range(rng.randint(1, 4)):
+            family |= 1 << rng.randrange(size)
+        grown = True
+        while grown:
+            members = [a for a in range(size) if family >> a & 1]
+            more = family
+            for a in members:
+                for b in members:
+                    more |= 1 << (a | b) | 1 << (a & b)
+            grown, family = more != family, more
+        for _ in range(rng.randrange(3)):
+            family ^= 1 << rng.randrange(size)
+        yield family
+
+
+def test_sublattice_failure_names_two_members_that_leave_the_family():
+    """Every family at m <= 3 and 2,000 seeded ones at m = 4-5, against the
+    brute-force closure test."""
+    rng = random.Random(31)
+    cases = [(m, family) for m in (1, 2, 3) for family in range(1 << (1 << m))]
+    for m in (4, 5):
+        draws = _near_sublattices(rng, m)
+        cases += [(m, next(draws)) for _ in range(1000)]
+    verdicts = set()
+    for m, family in cases:
+        hit = _sublattice_failure(family, list(_holding(m, 1)))
+        verdicts.add(hit is None)
+        if _closed(family):
+            assert hit is None, (m, family)
+            continue
+        a, b = hit
+        assert family >> a & 1 and family >> b & 1, (m, family, hit)
+        assert not (family >> (a & b) & 1 and family >> (a | b) & 1), (m, family, hit)
+    assert verdicts == {True, False}
