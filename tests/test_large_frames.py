@@ -14,9 +14,9 @@ import pytest
 import ambicalc.interval as interval
 from ambicalc import (
     InternalInvariantFailure,
-    ambiguity_from_interval,
     belief_from_structure,
     check_belief_identity,
+    decompose_interval,
     extract_assignment,
     mass_from_structure,
     structure_from_assignment,
@@ -68,9 +68,13 @@ def test_overlap_cross_check_covers_every_subset(m, seed, monkeypatch):
 
 
 def test_documents_round_trip_at_twelve_atoms():
-    j = gen_assignment(GenConfig(m=12, n=64, seed=33))
+    cfg = GenConfig(m=12, n=64, seed=33)
+    j = gen_assignment(cfg)
     s = structure_from_assignment(j)
-    docs = (("assignment", j), ("interval", s), ("ambiguity", ambiguity_from_interval(s)))
+    inc, amb = decompose_interval(s)
+    p = gen_probability(cfg)
+    docs = (("assignment", j), ("interval", s), ("ambiguity", amb), ("incidence", inc),
+            ("probability", p), ("mass", mass_from_structure(s, p)))
     for kind, obj in docs:
         text = dumps(obj)
         assert loads(text) == (kind, obj)
