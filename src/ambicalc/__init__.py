@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .frames import Frame, SituationSpace, decode_subset, encode_subset
+from .frames import Frame, SituationSpace
 from .harness import (
     FailureCase,
     FuzzReport,
@@ -73,7 +73,6 @@ from .numeric import (
     BeliefReport,
     MassFunction,
     ProbabilityAssignment,
-    Rational,
     belief_from_structure,
     check_belief_identity,
     fishburn_report,

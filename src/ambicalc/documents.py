@@ -28,7 +28,15 @@ from .numeric import (
     render_rational,
 )
 
-KINDS = ("assignment", "interval", "ambiguity", "incidence", "probability", "mass")
+# Each kind's class and its document fields, in canonical order.
+_KINDS = {
+    "assignment": (BasicAssignment, ("kind", "atoms", "situations", "body")),
+    "interval": (IntervalStructure, ("kind", "atoms", "situations", "body")),
+    "ambiguity": (AmbiguityMap, ("kind", "atoms", "situations", "body")),
+    "incidence": (IncidenceMap, ("kind", "atoms", "situations", "body")),
+    "probability": (ProbabilityAssignment, ("kind", "situations", "body")),
+    "mass": (MassFunction, ("kind", "atoms", "body")),
+}
 
 
 def _reject_duplicates(pairs):
@@ -41,7 +49,8 @@ def _reject_duplicates(pairs):
 
 
 def parse_document(text: str) -> dict:
-    """JSON text -> raw document dict, with shape and kind checked."""
+    """JSON text -> raw document dict, checked to be an object; ``load_object``
+    checks its kind."""
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates)
     except ParseError:
@@ -52,9 +61,6 @@ def parse_document(text: str) -> dict:
         raise ParseError("document nests too deeply") from None
     if not isinstance(raw, dict):
         raise SchemaError("document must be a JSON object")
-    kind = raw.get("kind")
-    if kind not in KINDS:
-        raise SchemaError(f"unknown document kind: {kind!r}")
     return raw
 
 
@@ -67,27 +73,18 @@ def _require_fields(raw: dict, fields: tuple[str, ...]):
         raise SchemaError(f"unexpected fields: {', '.join(extra)}")
 
 
-def _names(raw, label: str) -> tuple[str, ...]:
-    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-        raise SchemaError(f"{label} must be a list of strings")
-    for name in raw:
+def _universe(raw: dict, field: str, universe):
+    """The ``Frame`` or ``SituationSpace`` whose names a document's field lists."""
+    names = raw[field]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise SchemaError(f"{field} must be a list of strings")
+    for name in names:
         try:
             name.encode("utf-8")
         except UnicodeEncodeError:
-            raise SchemaError(f"{label}: name {name!r} cannot be encoded as UTF-8") from None
-    return tuple(raw)
-
-
-def _frame(raw: dict) -> Frame:
+            raise SchemaError(f"{field}: name {name!r} cannot be encoded as UTF-8") from None
     try:
-        return Frame(_names(raw["atoms"], "atoms"))
-    except (ValueError, DuplicateElement) as exc:
-        raise SchemaError(str(exc)) from None
-
-
-def _space(raw: dict) -> SituationSpace:
-    try:
-        return SituationSpace(_names(raw["situations"], "situations"))
+        return universe(tuple(names))
     except (ValueError, DuplicateElement) as exc:
         raise SchemaError(str(exc)) from None
 
@@ -146,33 +143,26 @@ def _render_map_body(m: SetValuedMap) -> dict:
 def load_object(raw: dict):
     """Raw document dict -> typed object for its kind.
 
-    Axioms are not checked here; type invariants (probability normalization,
-    mass positivity) are.
+    The kind gate: the kind, then the fields, then the atoms and situations
+    are checked before the body is read.  Axioms are not checked here; type
+    invariants (probability normalization, mass positivity) are.
     """
     kind = raw.get("kind")
-    if kind in ("assignment", "ambiguity"):
-        _require_fields(raw, ("kind", "atoms", "situations", "body"))
-        frame = _frame(raw)
-        space = _space(raw)
-        m = _parse_map_body(raw["body"], frame, space)
-        return BasicAssignment(m) if kind == "assignment" else AmbiguityMap(m)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SchemaError(f"unknown document kind: {kind!r}")
+    cls, fields = _KINDS[kind]
+    _require_fields(raw, fields)
+    frame = _universe(raw, "atoms", Frame) if "atoms" in fields else None
+    space = _universe(raw, "situations", SituationSpace) if "situations" in fields else None
+    body = raw["body"]
     if kind == "interval":
-        _require_fields(raw, ("kind", "atoms", "situations", "body"))
-        frame = _frame(raw)
-        space = _space(raw)
-        body = raw["body"]
         if not isinstance(body, dict) or set(body) != {"lower", "upper"}:
             raise SchemaError('interval body must have exactly "lower" and "upper"')
-        lower = _parse_map_body(body["lower"], frame, space)
-        upper = _parse_map_body(body["upper"], frame, space)
-        return IntervalStructure(lower, upper)
+        return cls(_parse_map_body(body["lower"], frame, space),
+                   _parse_map_body(body["upper"], frame, space))
+    if not isinstance(body, dict):
+        raise SchemaError("body must be an object")
     if kind == "incidence":
-        _require_fields(raw, ("kind", "atoms", "situations", "body"))
-        frame = _frame(raw)
-        space = _space(raw)
-        body = raw["body"]
-        if not isinstance(body, dict):
-            raise SchemaError("body must be an object")
         targets = []
         for sit in space.names:
             if sit not in body:
@@ -189,28 +179,17 @@ def load_object(raw: dict):
                 raise SchemaError(f"unknown situation name: {sit!r}")
         return incidence_from_pointmap(PointMap(tuple(targets)), frame, space)
     if kind == "probability":
-        _require_fields(raw, ("kind", "situations", "body"))
-        space = _space(raw)
-        body = raw["body"]
-        if not isinstance(body, dict):
-            raise SchemaError("body must be an object")
         weights = []
         for sit in space.names:
-            value = body.get(sit, 0)
             try:
-                weights.append(parse_rational(value))
+                weights.append(parse_rational(body.get(sit, 0)))
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc
         for sit in body:
             if sit not in space.names:
                 raise SchemaError(f"unknown situation name: {sit!r}")
-        return ProbabilityAssignment(space, tuple(weights))
+        return cls(space, tuple(weights))
     if kind == "mass":
-        _require_fields(raw, ("kind", "atoms", "body"))
-        frame = _frame(raw)
-        body = raw["body"]
-        if not isinstance(body, dict):
-            raise SchemaError("body must be an object")
         masses = {}
         for key, value in body.items():
             mask = _parse_subset_key(frame, key)
@@ -218,75 +197,42 @@ def load_object(raw: dict):
                 masses[mask] = parse_rational(value)
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc
-        return MassFunction.from_dict(frame, masses)
-    raise SchemaError(f"unknown document kind: {kind!r}")
+        return cls.from_dict(frame, masses)
+    return cls(_parse_map_body(body, frame, space))
 
 
 def loads(text: str):
     """JSON text -> (kind, typed object)."""
     raw = parse_document(text)
-    return raw["kind"], load_object(raw)
+    obj = load_object(raw)
+    return raw["kind"], obj
 
 
 def document_for(obj) -> dict:
     """Typed object -> raw document dict in canonical key order."""
-    if isinstance(obj, BasicAssignment):
-        m = obj.map
-        return {
-            "kind": "assignment",
-            "atoms": list(m.frame.atoms),
-            "situations": list(m.space.names),
-            "body": _render_map_body(m),
-        }
-    if isinstance(obj, AmbiguityMap):
-        m = obj.map
-        return {
-            "kind": "ambiguity",
-            "atoms": list(m.frame.atoms),
-            "situations": list(m.space.names),
-            "body": _render_map_body(m),
-        }
-    if isinstance(obj, IntervalStructure):
-        return {
-            "kind": "interval",
-            "atoms": list(obj.lower.frame.atoms),
-            "situations": list(obj.lower.space.names),
-            "body": {
-                "lower": _render_map_body(obj.lower),
-                "upper": _render_map_body(obj.upper),
-            },
-        }
-    if isinstance(obj, IncidenceMap):
-        m = obj.map
-        return {
-            "kind": "incidence",
-            "atoms": list(m.frame.atoms),
-            "situations": list(m.space.names),
-            "body": {
-                sit: m.frame.atoms[obj.origin.targets[w]]
-                for w, sit in enumerate(m.space.names)
-            },
-        }
-    if isinstance(obj, ProbabilityAssignment):
-        return {
-            "kind": "probability",
-            "situations": list(obj.space.names),
-            "body": {
-                sit: render_rational(obj.weights[w])
-                for w, sit in enumerate(obj.space.names)
-                if obj.weights[w]
-            },
-        }
-    if isinstance(obj, MassFunction):
-        return {
-            "kind": "mass",
-            "atoms": list(obj.frame.atoms),
-            "body": {
-                obj.frame.subset_key(mask): render_rational(value)
-                for mask, value in obj.masses
-            },
-        }
-    raise TypeError(f"no document format for {type(obj).__name__}")
+    for kind, (cls, fields) in _KINDS.items():
+        if isinstance(obj, cls):
+            break
+    else:
+        raise TypeError(f"no document format for {type(obj).__name__}")
+    doc = {"kind": kind}
+    if "atoms" in fields:
+        doc["atoms"] = list(obj.frame.atoms)
+    if "situations" in fields:
+        doc["situations"] = list(obj.space.names)
+    if kind == "interval":
+        doc["body"] = {"lower": _render_map_body(obj.lower), "upper": _render_map_body(obj.upper)}
+    elif kind == "incidence":
+        atoms = obj.frame.atoms
+        doc["body"] = {sit: atoms[t] for sit, t in zip(obj.space.names, obj.origin.targets)}
+    elif kind == "probability":
+        doc["body"] = {sit: render_rational(w) for sit, w in zip(obj.space.names, obj.weights) if w}
+    elif kind == "mass":
+        key = obj.frame.subset_key
+        doc["body"] = {key(mask): render_rational(value) for mask, value in obj.masses}
+    else:
+        doc["body"] = _render_map_body(obj.map)
+    return doc
 
 
 def render_document(doc: dict, compact: bool = False) -> str:

@@ -88,7 +88,3 @@ class UsageError(AmbicalcError):
 
 class ValidationError(AmbicalcError):
     """A document's payload violates the invariants of its kind."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

@@ -1,13 +1,14 @@
 """Finite universes and bitmask subset encoding.
 
-A frame holds the atomic propositions, a situation space holds the possible
-worlds.  Subsets of either universe are plain ints: bit ``k`` set means the
-element declared at position ``k`` is in the subset.
+A frame holds the atomic propositions, at most 16; a situation space holds
+the possible worlds, at most 64.  Both caps are fixed.  Subsets of either
+universe are plain ints: bit ``k`` set means the element declared at
+position ``k`` is in the subset.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DuplicateElement, MaskOutOfRange, UnknownElement
 
@@ -93,15 +94,9 @@ class _Universe:
         except KeyError:
             raise UnknownElement(f"unknown element {name!r}") from None
 
-    def complement(self, mask: int) -> int:
-        return self.full ^ self.check_mask(mask)
-
     def format_subset(self, mask: int) -> str:
         members = self.decode(mask)
         return "{" + ",".join(members) + "}" if members else "∅"
-
-    def subsets(self) -> Iterator[int]:
-        return iter(range(1 << self.size))
 
     def __eq__(self, other):
         return type(other) is type(self) and other.names == self.names
@@ -136,32 +131,14 @@ class Frame(_Universe):
 
 
 class SituationSpace(_Universe):
-    """The universe of situations.  Default cap of 64, configurable upward."""
+    """The universe of situations.  Hard cap of 64 situations."""
 
-    __slots__ = ("cap",)
-    DEFAULT_CAP = 64
+    __slots__ = ()
+    MAX_SITUATIONS = 64
 
-    def __init__(self, situations: Iterable[str], *, cap: int | None = None):
-        cap = self.DEFAULT_CAP if cap is None else cap
-        if cap < 1:
-            raise ValueError("situation cap must be positive")
-        super().__init__(_checked_names(situations, "situation space", cap))
-        self.cap = cap
-
-    @property
-    def situations(self) -> tuple[str, ...]:
-        return self.names
+    def __init__(self, situations: Iterable[str]):
+        super().__init__(_checked_names(situations, "situation space", self.MAX_SITUATIONS))
 
     @property
     def n(self) -> int:
         return len(self.names)
-
-
-def encode_subset(names: Iterable[str], universe: _Universe) -> int:
-    """Bitmask of ``names`` within ``universe``."""
-    return universe.encode(names)
-
-
-def decode_subset(mask: int, universe: _Universe) -> tuple[str, ...]:
-    """Element names of ``mask`` within ``universe``."""
-    return universe.decode(mask)

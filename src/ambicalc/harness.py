@@ -81,8 +81,8 @@ class GenConfig:
     def __post_init__(self):
         if not 1 <= self.m <= Frame.MAX_ATOMS:
             raise ValueError(f"atom count must be in 1..{Frame.MAX_ATOMS}")
-        if not 1 <= self.n <= SituationSpace.DEFAULT_CAP:
-            raise ValueError(f"situation count must be in 1..{SituationSpace.DEFAULT_CAP}")
+        if not 1 <= self.n <= SituationSpace.MAX_SITUATIONS:
+            raise ValueError(f"situation count must be in 1..{SituationSpace.MAX_SITUATIONS}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seeded_selectors < 0:

@@ -28,9 +28,7 @@ from .interval import (
 from .reports import AxiomReport, Witness
 from .sweeps import first_submodular_violation, smallest_witness, submodular_failure
 
-Rational = Fraction
-
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _common_denominator(*tables) -> int:
@@ -59,10 +57,10 @@ def _subset_sums(mass: "MassFunction") -> tuple[list[int], int]:
 
 
 def parse_rational(value) -> Fraction:
-    """Accept 'p/q' in lowest-terms-or-not, or a plain integer."""
+    """Accept 'p/q' in ASCII digits, in lowest terms or not, or a plain integer."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
         return Fraction(value)
     raise ValueError(f"not a rational literal: {value!r}")
 
@@ -163,9 +161,6 @@ class MassFunction:
     @classmethod
     def from_dict(cls, frame: Frame, masses) -> "MassFunction":
         return cls(frame, tuple(sorted(masses.items())))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.masses)
 
     def focal_masks(self) -> tuple[int, ...]:
         return tuple(mask for mask, _ in self.masses)
@@ -282,10 +277,10 @@ def structure_from_mass(
     One situation per focal subset, named after it, carrying its mass; each
     cell is the matching singleton, so Bel(A) = P(lower(A)) is the sum of the
     masses of the subsets of A.  A mass function with more focal subsets than
-    the default situation cap is refused, so every model it writes loads back.
+    the situation cap is refused, so every model it writes loads back.
     """
     focals = mass.focal_masks()
-    cap = SituationSpace.DEFAULT_CAP
+    cap = SituationSpace.MAX_SITUATIONS
     if len(focals) > cap:
         raise ValidationError(
             f"mass function has {len(focals)} focal elements; its canonical model "

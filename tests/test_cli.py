@@ -559,6 +559,13 @@ _TWO = {"kind": "assignment", "atoms": ["x", "y"], "situations": ["w1", "w2"]}
          (2, "error: body must be an object")),
         (["check", {"kind": "mass", "atoms": ["x"], "body": {"x": "1/0"}}],
          (2, "error: not a rational literal: '1/0'")),
+        (["check", {"kind": "probability", "situations": ["w1", "w2"],
+                    "body": {"w1": "1/2\n", "w2": "2/4"}}],
+         (2, "error: not a rational literal: '1/2\\n'")),
+        (["check", {"kind": "mass", "atoms": ["x", "y"], "body": {"x": "1/2\n", "y": "2/4"}}],
+         (2, "error: not a rational literal: '1/2\\n'")),
+        (["check", {"kind": "mass", "atoms": ["x"], "body": {"x": "\u0661"}}],
+         (2, "error: not a rational literal: '\u0661'")),
         (["incidence", {**_TWO, "body": {"x": ["w1", "w2"], "y": ["w2"]}}],
          (1, "error: cells do not partition the situation space")),
         (["compose", fx("fix1_incidence.json"),

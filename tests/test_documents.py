@@ -236,7 +236,7 @@ def test_keys_in_any_order_parse_to_the_same_table(fix1):
 
 
 def test_guards_that_json_text_cannot_reach():
-    # parse_document rejects an unknown kind before load_object sees it
+    # load_object is the kind gate for a raw dict as for JSON text
     with pytest.raises(SchemaError, match="^unknown document kind: 'bogus'$"):
         load_object({"kind": "bogus"})
     # JSON object keys are always strings

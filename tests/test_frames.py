@@ -6,8 +6,6 @@ from ambicalc import (
     MaskOutOfRange,
     SituationSpace,
     UnknownElement,
-    decode_subset,
-    encode_subset,
 )
 
 
@@ -23,16 +21,15 @@ def test_frame_basics():
     assert fr.subset_key(0) == ""
     assert fr.format_subset(0) == "∅"
     assert fr.format_subset(0b11) == "{x,y}"
-    assert list(fr.subsets()) == list(range(8))
 
 
 def test_space_basics():
     sp = SituationSpace(("w1", "w2"))
     assert sp.n == 2
-    assert sp.situations == ("w1", "w2")
-    assert sp.complement(0b01) == 0b10
-    assert encode_subset(["w2"], sp) == 0b10
-    assert decode_subset(0b11, sp) == ("w1", "w2")
+    assert sp.names == ("w1", "w2")
+    assert sp.full ^ 0b01 == 0b10
+    assert sp.encode(["w2"]) == 0b10
+    assert sp.decode(0b11) == ("w1", "w2")
 
 
 def test_construction_errors():
@@ -44,11 +41,9 @@ def test_construction_errors():
         Frame(("a,b",))  # commas collide with subset keys
     with pytest.raises(ValueError):
         Frame([f"a{k}" for k in range(17)])
+    SituationSpace([f"w{k}" for k in range(SituationSpace.MAX_SITUATIONS)])
     with pytest.raises(ValueError):
-        SituationSpace([f"w{k}" for k in range(65)])
-    SituationSpace([f"w{k}" for k in range(65)], cap=128)
-    with pytest.raises(ValueError):
-        SituationSpace(("w",), cap=0)
+        SituationSpace([f"w{k}" for k in range(SituationSpace.MAX_SITUATIONS + 1)])
 
 
 def test_mask_and_name_errors():
@@ -65,17 +60,16 @@ def test_mask_and_name_errors():
         fr.index_of("q")
 
 
-def test_equality_ignores_cap():
-    assert SituationSpace(("w",)) == SituationSpace(("w",), cap=32)
+def test_equality_compares_kind_and_names():
+    assert SituationSpace(("w",)) == SituationSpace(("w",))
     assert Frame(("x",)) != SituationSpace(("x",))
 
 
 def test_boolean_algebra_laws_exhaustive():
     fr = Frame(("a", "b", "c", "d"))
     full = fr.full
-    for x in fr.subsets():
-        assert fr.complement(fr.complement(x)) == x
-        for y in fr.subsets():
+    for x in range(1 << fr.m):
+        for y in range(1 << fr.m):
             # De Morgan both ways
             assert full ^ (x | y) == (full ^ x) & (full ^ y)
             assert full ^ (x & y) == (full ^ x) | (full ^ y)
