@@ -1,8 +1,11 @@
 """Command line front end.
 
+Each command checks the kind of a loaded document by name, in ``_expect``;
+``check`` picks its report by kind, from ``_CHECKS``.
+
 Exit codes: 0 success, 1 domain failure (axiom violations, incompatible
 inputs, invalid numeric data), 2 usage or parse problems (bad flags, missing
-files, malformed documents).
+files, malformed documents, a document of the wrong kind).
 """
 
 from __future__ import annotations
@@ -13,13 +16,12 @@ import json
 import sys
 from pathlib import Path
 
-from .ambiguity import AmbiguityMap, ambiguity_from_interval, check_ambiguity_axioms
-from .documents import _parse_subset_key, document_for, dumps, loads
+from .ambiguity import ambiguity_from_interval, check_ambiguity_axioms
+from .documents import _parse_subset_key, _reject_duplicates, document_for, dumps, loads
 from .errors import AmbicalcError, ParseError, SchemaError, UsageError
 from .frames import Frame
 from .harness import GenConfig, fuzz, gen_assignment, gen_pointmap, gen_probability, universes_for
 from .incidence import (
-    IncidenceMap,
     Selector,
     check_incidence_axioms,
     compose_interval,
@@ -28,7 +30,6 @@ from .incidence import (
     select_incidence,
 )
 from .interval import (
-    BasicAssignment,
     IntervalStructure,
     axiom_report,
     check_assignment,
@@ -38,8 +39,6 @@ from .interval import (
     structure_from_assignment,
 )
 from .numeric import (
-    MassFunction,
-    ProbabilityAssignment,
     belief_from_structure,
     check_belief_identity,
     fishburn_report,
@@ -58,32 +57,36 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _axiom_report(obj):
-    if isinstance(obj, BasicAssignment):
-        return check_assignment(obj.map)
-    if isinstance(obj, IntervalStructure):
-        return check_structure(obj.lower, obj.upper)
-    if isinstance(obj, AmbiguityMap):
-        return check_ambiguity_axioms(obj.map)
-    if isinstance(obj, IncidenceMap):
-        return check_incidence_axioms(obj.map)
-    return None
-
-
 def _load(path: str):
-    return loads(_read(path))[1]
+    """The (kind, object) pair of the document at ``path``."""
+    return loads(_read(path))
 
 
-def _validated_structure(obj) -> IntervalStructure:
-    if not isinstance(obj, IntervalStructure):
-        raise SchemaError("expected an interval document")
-    return make_interval_structure(obj.lower, obj.upper)
-
-
-def _expect(obj, cls, kind: str):
-    if not isinstance(obj, cls):
-        raise SchemaError(f"expected a {kind} document")
+def _expect(loaded, kind: str):
+    """The object of a ``_load`` pair, which must be of ``kind``."""
+    got, obj = loaded
+    if got != kind:
+        raise SchemaError(f"expected {'an' if kind[0] in 'aeiou' else 'a'} {kind} document")
     return obj
+
+
+def _structure(path: str) -> IntervalStructure:
+    """The interval document at ``path``, validated."""
+    s = _expect(_load(path), "interval")
+    return make_interval_structure(s.lower, s.upper)
+
+
+# the report of ``check`` by kind; the loader rejects numeric documents that break their rows
+_CHECKS = {
+    "assignment": lambda j: check_assignment(j.map),
+    "interval": lambda s: check_structure(s.lower, s.upper),
+    "ambiguity": lambda a: check_ambiguity_axioms(a.map),
+    "incidence": lambda i: check_incidence_axioms(i.map),
+    "probability": lambda p: axiom_report(("nonnegative", None), ("normalized", None)),
+    "mass": lambda m: axiom_report(
+        ("no-mass-on-empty", None), ("positive", None), ("normalized", None)
+    ),
+}
 
 
 def _report_text(report: AxiomReport, as_json: bool) -> str:
@@ -102,11 +105,13 @@ def _parse_selector(arg: str | None, frame: Frame) -> Selector:
             raise SchemaError(f"bad selector seed in {arg!r}") from None
     if arg.startswith("@"):
         try:
-            raw = json.loads(_read(arg[1:]))
+            raw = json.loads(_read(arg[1:]), object_pairs_hook=_reject_duplicates)
         except json.JSONDecodeError as exc:
             raise ParseError(f"selector table: {exc.msg}", line=exc.lineno, column=exc.colno) from None
         except RecursionError:
             raise ParseError("selector table: nests too deeply") from None
+        except ValueError as exc:  # an integer literal too long to convert
+            raise ParseError(f"selector table: {exc}") from None
         if not isinstance(raw, dict):
             raise SchemaError("a selector table must be a JSON object")
         mapping = {}
@@ -119,83 +124,61 @@ def _parse_selector(arg: str | None, frame: Frame) -> Selector:
 
 
 def _cmd_check(args):
-    obj = _load(args.file)
-    report = _axiom_report(obj)
-    # the loader's constructors reject numeric documents that break these rows
-    if report is None and isinstance(obj, ProbabilityAssignment):
-        report = axiom_report(("nonnegative", None), ("normalized", None))
-    elif report is None:
-        report = axiom_report(("no-mass-on-empty", None), ("positive", None), ("normalized", None))
+    kind, obj = _load(args.file)
+    report = _CHECKS[kind](obj)
     return (0 if report.ok else 1), _report_text(report, args.format == "json")
 
 
 def _cmd_oracle(args):
-    obj = _load(args.file)
-    if isinstance(obj, (ProbabilityAssignment, MassFunction)):
+    kind, obj = _load(args.file)
+    if kind in ("probability", "mass"):
         raise SchemaError("the oracle checks set-valued documents only")
     report = oracle_verify(obj)
     return (0 if report.ok else 1), _report_text(report, args.format == "json")
 
 
 def _cmd_extract(args):
-    obj = _load(args.file)
-    s = _validated_structure(obj)
-    return 0, dumps(extract_assignment(s))
+    return 0, dumps(extract_assignment(_structure(args.file)))
 
 
 def _cmd_build(args):
-    obj = _load(args.file)
-    j = _expect(obj, BasicAssignment, "assignment")
-    s = structure_from_assignment(j)
-    return 0, dumps(s)
+    j = _expect(_load(args.file), "assignment")
+    return 0, dumps(structure_from_assignment(j))
 
 
 def _cmd_ambiguity(args):
-    obj = _load(args.file)
-    s = _validated_structure(obj)
-    return 0, dumps(ambiguity_from_interval(s))
+    return 0, dumps(ambiguity_from_interval(_structure(args.file)))
 
 
 def _cmd_incidence(args):
-    obj = _load(args.file)
-    j = _expect(obj, BasicAssignment, "assignment")
+    j = _expect(_load(args.file), "assignment")
     sel = _parse_selector(args.selector, j.map.frame)
     return 0, dumps(select_incidence(j, sel))
 
 
 def _cmd_decompose(args):
-    obj = _load(args.file)
-    s = _validated_structure(obj)
+    s = _structure(args.file)
     sel = _parse_selector(args.selector, s.lower.frame)
     inc, amb = decompose_interval(s, sel)
-    wrote = False
+    if not (args.out_incidence or args.out_ambiguity):
+        combined = {"incidence": document_for(inc), "ambiguity": document_for(amb)}
+        return 0, json.dumps(combined, ensure_ascii=False, indent=2)
     if args.out_incidence:
         Path(args.out_incidence).write_text(dumps(inc), encoding="utf-8")
-        wrote = True
     if args.out_ambiguity:
         Path(args.out_ambiguity).write_text(dumps(amb), encoding="utf-8")
-        wrote = True
-    if wrote:
-        return 0, ""
-    combined = {"incidence": document_for(inc), "ambiguity": document_for(amb)}
-    return 0, json.dumps(combined, ensure_ascii=False, indent=2)
+    return 0, ""
 
 
 def _cmd_compose(args):
-    inc = _load(args.incidence_file)
-    amb = _load(args.ambiguity_file)
-    inc = _expect(inc, IncidenceMap, "incidence")
-    amb = _expect(amb, AmbiguityMap, "ambiguity")
-    s = compose_interval(inc, amb)
-    return 0, dumps(s)
+    # both files are parsed before either kind is checked
+    inc, amb = _load(args.incidence_file), _load(args.ambiguity_file)
+    return 0, dumps(compose_interval(_expect(inc, "incidence"), _expect(amb, "ambiguity")))
 
 
 def _load_pair(args):
-    obj = _load(args.interval_file)
-    s = _validated_structure(obj)
-    prob = _load(args.probability_file)
-    prob = _expect(prob, ProbabilityAssignment, "probability")
-    return s, prob
+    s = _structure(args.interval_file)
+    return s, _expect(_load(args.probability_file), "probability")
 
 
 def _cmd_belief(args):
@@ -234,8 +217,7 @@ def _cmd_belief(args):
 
 
 def _cmd_from_mass(args):
-    mass = _load(args.file)
-    mass = _expect(mass, MassFunction, "mass")
+    mass = _expect(_load(args.file), "mass")
     _, prob, j, s = structure_from_mass(mass)
     combined = {
         "probability": document_for(prob),
@@ -308,41 +290,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, func, help_text):
+    def cmd(name, func, help_text, *files):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
+        for file in files:
+            p.add_argument(file)
         return p
 
-    p = cmd("check", _cmd_check, "run the axiom suite for a document")
-    p.add_argument("file")
-    p = cmd("oracle", _cmd_oracle, "run the naive reference checker for a document")
-    p.add_argument("file")
-    p = cmd("extract", _cmd_extract, "interval structure -> basic assignment")
-    p.add_argument("file")
-    p = cmd("build", _cmd_build, "basic assignment -> interval structure")
-    p.add_argument("file")
-    p = cmd("ambiguity", _cmd_ambiguity, "interval structure -> ambiguity map (the gap)")
-    p.add_argument("file")
-    p = cmd("incidence", _cmd_incidence, "basic assignment + selector -> incidence map")
-    p.add_argument("file")
+    cmd("check", _cmd_check, "run the axiom suite for a document", "file")
+    cmd("oracle", _cmd_oracle, "run the naive reference checker for a document", "file")
+    cmd("extract", _cmd_extract, "interval structure -> basic assignment", "file")
+    cmd("build", _cmd_build, "basic assignment -> interval structure", "file")
+    cmd("ambiguity", _cmd_ambiguity, "interval structure -> ambiguity map (the gap)", "file")
+    p = cmd("incidence", _cmd_incidence, "basic assignment + selector -> incidence map", "file")
     p.add_argument("--selector", default="min", metavar="SEL",
                    help="min (default), seed:N, or @table.json")
-    p = cmd("decompose", _cmd_decompose, "interval structure -> incidence + ambiguity")
-    p.add_argument("file")
+    p = cmd("decompose", _cmd_decompose, "interval structure -> incidence + ambiguity", "file")
     p.add_argument("--selector", default="min", metavar="SEL")
     p.add_argument("--out-incidence", metavar="FILE")
     p.add_argument("--out-ambiguity", metavar="FILE")
-    p = cmd("compose", _cmd_compose, "incidence + ambiguity -> interval structure")
-    p.add_argument("incidence_file")
-    p.add_argument("ambiguity_file")
-    p = cmd("belief", _cmd_belief, "exact Bel/Pl/alpha tables for a structure and probability")
-    p.add_argument("interval_file")
-    p.add_argument("probability_file")
-    p = cmd("from-mass", _cmd_from_mass, "mass function -> canonical model documents")
-    p.add_argument("file")
-    p = cmd("fishburn", _cmd_fishburn, "check the ambiguity-measure laws of alpha = Pl - Bel")
-    p.add_argument("interval_file")
-    p.add_argument("probability_file")
+    cmd("compose", _cmd_compose, "incidence + ambiguity -> interval structure",
+        "incidence_file", "ambiguity_file")
+    cmd("belief", _cmd_belief, "exact Bel/Pl/alpha tables for a structure and probability",
+        "interval_file", "probability_file")
+    cmd("from-mass", _cmd_from_mass, "mass function -> canonical model documents", "file")
+    cmd("fishburn", _cmd_fishburn, "check the ambiguity-measure laws of alpha = Pl - Bel",
+        "interval_file", "probability_file")
     p = cmd("gen", _cmd_gen, "generate a seeded random document")
     p.add_argument("--kind", choices=("assignment", "probability", "incidence"), required=True)
     p.add_argument("--atoms", type=int, default=3, metavar="M")
@@ -371,9 +344,7 @@ def run_command(argv) -> tuple[int, str]:
             Path(args.out).write_text(text, encoding="utf-8")
             text = ""
         return code, text
-    except (ParseError, SchemaError, UsageError) as exc:
-        return 2, f"error: {exc}"
-    except OSError as exc:
+    except (ParseError, SchemaError, UsageError, OSError) as exc:
         return 2, f"error: {exc}"
     except AmbicalcError as exc:
         return 1, f"error: {exc}"
@@ -384,7 +355,3 @@ def main(argv=None) -> int:
     if text:
         print(text)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

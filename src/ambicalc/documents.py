@@ -3,8 +3,10 @@
 One format per kind.  Keys are canonical: subset keys list atom names in
 declaration order ("" is the empty set), bodies omit empty images and zero
 weights, and rendering always emits the same bytes for the same object.
-Parsing is strict: duplicate keys, non-canonical subset keys, and malformed
-rationals are rejected up front.
+Parsing rejects duplicate keys, non-canonical subset keys, malformed
+rationals and integer literals too long to convert.  It accepts, and renders
+in canonical form, rationals not in lowest terms, JSON integers, zero
+probability weights and empty images.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ def parse_document(text: str) -> dict:
     checks its kind."""
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except ParseError:
-        raise
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError:
         raise ParseError("document nests too deeply") from None
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ParseError(str(exc)) from None
     if not isinstance(raw, dict):
         raise SchemaError("document must be a JSON object")
     return raw

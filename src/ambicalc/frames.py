@@ -8,7 +8,7 @@ position ``k`` is in the subset.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .errors import DuplicateElement, MaskOutOfRange, UnknownElement
 
@@ -68,10 +68,11 @@ class _Universe:
                 return mask
         except (KeyError, TypeError):
             pass
-        return self._encode_walk(names)
+        self._encode_walk(names)
 
-    def _encode_walk(self, names) -> int:
-        """``encode`` one name at a time; raises for the first bad name."""
+    def _encode_walk(self, names) -> NoReturn:
+        """``encode`` one name at a time, for names its sum rejects: one is
+        unknown or repeated, so the walk only raises, naming the first."""
         mask = 0
         for name in names:
             try:
@@ -81,7 +82,6 @@ class _Universe:
             if mask & bit:
                 raise DuplicateElement(f"element {name!r} listed twice")
             mask |= bit
-        return mask
 
     def decode(self, mask: int) -> tuple[str, ...]:
         """Element names of a mask, in declaration order."""

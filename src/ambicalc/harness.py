@@ -4,7 +4,8 @@ Every stream is derived from (master seed, role, trial index), so a report is
 a pure function of its config: reruns and different worker counts produce the
 same bytes.  The driver runs the whole pipeline per trial — assignment,
 structure, gap, selected incidences, decompose/compose, the probability
-bridge — and cross-checks each stage against the naive oracle.
+bridge — and cross-checks each stage against the naive oracle.  Standard and
+fault-injection trials report a failure through one path, ``_trial_result``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain, islice
 from math import comb, exp, isfinite
 
 from .ambiguity import ambiguity_from_interval, check_ambiguity_axioms
@@ -357,52 +359,48 @@ def _drop_atom(m: SetValuedMap, t: int) -> SetValuedMap:
 
 
 def _shrink_map(m: SetValuedMap, still_fails) -> SetValuedMap:
-    """Greedy minimization: drop situations before atoms, highest index first."""
+    """Greedy minimization: drop situations before atoms, highest index
+    first, and start again from the first smaller map that still fails,
+    until none does or ``_SHRINK_BUDGET`` candidates have been tried."""
     budget = _SHRINK_BUDGET
     current = m
-    changed = True
-    while changed and budget > 0:
-        changed = False
-        if current.space.n > 1:
-            for w in reversed(range(current.space.n)):
-                candidate = _drop_situation(current, w)
-                budget -= 1
-                if still_fails(candidate):
-                    current = candidate
-                    changed = True
-                    break
-                if budget <= 0:
-                    break
-        if changed or budget <= 0:
-            continue
-        if current.frame.m > 1:
-            for t in reversed(range(current.frame.m)):
-                candidate = _drop_atom(current, t)
-                budget -= 1
-                if still_fails(candidate):
-                    current = candidate
-                    changed = True
-                    break
-                if budget <= 0:
-                    break
+    while budget > 0:
+        n, size = current.space.n, current.frame.m
+        candidates = chain(
+            map(partial(_drop_situation, current), reversed(range(n)) if n > 1 else ()),
+            map(partial(_drop_atom, current), reversed(range(size)) if size > 1 else ()),
+        )
+        for candidate in islice(candidates, budget):
+            budget -= 1
+            if still_fails(candidate):
+                current = candidate
+                break
+        else:
+            break
     return current
+
+
+def _trial_result(trial: int, sub: GenConfig, instance, evaluate):
+    """The outcomes of ``evaluate`` on a trial's instance, and its
+    ``FailureCase`` when a property fails: an assignment is shrunk while
+    ``evaluate`` still fails on it, a structure is reported as it is."""
+    outcomes, note = evaluate(instance)
+    failed = tuple(name for name, ok in outcomes.items() if not ok)
+    if not failed:
+        return outcomes, None
+    if isinstance(instance, BasicAssignment):
+
+        def fails(candidate: SetValuedMap) -> bool:
+            return not all(evaluate(BasicAssignment(candidate))[0].values())
+
+        instance = BasicAssignment(_shrink_map(instance.map, fails))
+    return outcomes, FailureCase(trial, sub.seed, failed, note, dumps(instance, compact=True))
 
 
 def _standard_trial(cfg: GenConfig, trial: int):
     sub = _trial_config(cfg, trial)
-    j = gen_assignment(sub)
-    outcomes, note = _evaluate_standard(cfg, sub, trial, j)
-    failed = tuple(name for name in STANDARD_PROPERTIES if not outcomes[name])
-    case = None
-    if failed:
-
-        def fails(candidate: SetValuedMap) -> bool:
-            oc, _ = _evaluate_standard(cfg, sub, trial, BasicAssignment(candidate))
-            return any(not v for v in oc.values())
-
-        shrunk = BasicAssignment(_shrink_map(j.map, fails))
-        case = FailureCase(trial, sub.seed, failed, note, dumps(shrunk, compact=True))
-    return outcomes, case
+    evaluate = partial(_evaluate_standard, cfg, sub, trial)
+    return _trial_result(trial, sub, gen_assignment(sub), evaluate)
 
 
 def _fault_trial(cfg: GenConfig, trial: int):
@@ -417,19 +415,7 @@ def _fault_trial(cfg: GenConfig, trial: int):
             instance = IntervalStructure(_flip_bit(s.lower, rng), s.upper)
         else:
             instance = IntervalStructure(s.lower, _flip_bit(s.upper, rng))
-    outcomes, note = _evaluate_fault(instance)
-    failed = tuple(name for name in FAULT_PROPERTIES if not outcomes[name])
-    case = None
-    if failed:
-        if isinstance(instance, BasicAssignment):
-
-            def fails(candidate: SetValuedMap) -> bool:
-                oc, _ = _evaluate_fault(BasicAssignment(candidate))
-                return any(not v for v in oc.values())
-
-            instance = BasicAssignment(_shrink_map(instance.map, fails))
-        case = FailureCase(trial, sub.seed, failed, note, dumps(instance, compact=True))
-    return outcomes, case
+    return _trial_result(trial, sub, instance, _evaluate_fault)
 
 
 def worker_count(trials: int) -> int:

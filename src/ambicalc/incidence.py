@@ -18,17 +18,16 @@ from .ambiguity import AmbiguityMap, ambiguity_from_interval, check_ambiguity_ax
 from .errors import (
     AmbiguityAxiomViolation,
     AssignmentAxiomViolation,
-    FrameMismatch,
     IncidenceAxiomViolation,
     IncompatiblePair,
     SelectorDomainError,
-    SpaceMismatch,
 )
 from .frames import Frame, SituationSpace
 from .interval import (
     BasicAssignment,
     IntervalStructure,
     SetValuedMap,
+    _require_same_universes,
     axiom_report,
     containment_at,
     image_at,
@@ -203,10 +202,7 @@ def select_incidence(j: BasicAssignment, sel: Selector) -> IncidenceMap:
 
 def check_sandwich(s: IntervalStructure, i: IncidenceMap) -> AxiomReport:
     """lower ⊆ incidence and incidence ⊆ upper, each with its first witness."""
-    if s.frame != i.frame:
-        raise FrameMismatch("structure and incidence map use different frames")
-    if s.space != i.space:
-        raise SpaceMismatch("structure and incidence map use different spaces")
+    _require_same_universes(s, i, "structure and incidence map")
     return axiom_report(
         ("sandwich-lower", containment_at(s.lower, i.map, "lower", "incidence")),
         ("sandwich-upper", containment_at(i.map, s.upper, "incidence", "upper")),
@@ -215,10 +211,7 @@ def check_sandwich(s: IntervalStructure, i: IncidenceMap) -> AxiomReport:
 
 def check_compatibility(i: IncidenceMap, a: AmbiguityMap) -> AxiomReport:
     """a(A) ∪ a(B) ⊆ i(A∪B) ∪ a(A∪B) for every pair of subsets."""
-    if i.frame != a.frame:
-        raise FrameMismatch("incidence and ambiguity maps use different frames")
-    if i.space != a.space:
-        raise SpaceMismatch("incidence and ambiguity maps use different spaces")
+    _require_same_universes(i, a, "incidence and ambiguity maps")
     at, it = a.map.table, i.map.table
     name = i.space.format_subset
     hit = smallest_witness(compat_failure(at, it), first_compat_violation, at, it)
@@ -253,10 +246,7 @@ def compose_interval(i: IncidenceMap, a: AmbiguityMap) -> IntervalStructure:
     structure, and the gap of the result is exactly ``a``, since
     (i ∪ a) − (i ∩ ¬a) = a.
     """
-    if i.frame != a.frame:
-        raise FrameMismatch("incidence and ambiguity maps use different frames")
-    if i.space != a.space:
-        raise SpaceMismatch("incidence and ambiguity maps use different spaces")
+    _require_same_universes(i, a, "incidence and ambiguity maps")
     require(check_ambiguity_axioms(a.map), AmbiguityAxiomViolation)
     compat = check_compatibility(i, a)
     if not compat.ok:

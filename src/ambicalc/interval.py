@@ -19,6 +19,7 @@ from .errors import (
     FrameMismatch,
     InternalInvariantFailure,
     MaskOutOfRange,
+    SpaceMismatch,
     UpperAxiomViolation,
 )
 from .frames import Frame, SituationSpace
@@ -219,10 +220,12 @@ def check_duality(lower: SetValuedMap, upper: SetValuedMap) -> AxiomReport:
 
 
 def _require_same_universes(x, y, what: str):
+    """The one guard that two objects, each with a frame and a space, share
+    both: ``what`` names the pair in the error."""
     if x.frame != y.frame:
-        raise FrameMismatch(f"{what} built over different frames")
+        raise FrameMismatch(f"{what} use different frames")
     if x.space != y.space:
-        raise FrameMismatch(f"{what} built over different situation spaces")
+        raise SpaceMismatch(f"{what} use different spaces")
 
 
 def check_structure(lower: SetValuedMap, upper: SetValuedMap) -> AxiomReport:

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
-from ambicalc.cli import build_parser, run_command
+from ambicalc.cli import build_parser, main, run_command
 from ambicalc.documents import load_object, loads
 from ambicalc.errors import AxiomViolation
 from ambicalc.interval import make_interval_structure
@@ -588,3 +590,80 @@ def test_guard_texts(tmp_path, argv, expected):
         else:
             args.append(_write(tmp_path, f"doc{k}.json", arg))
     assert run_command(args) == expected
+
+
+def test_main_prints_the_result_and_returns_the_code(capsys):
+    assert main(["check", fx("fix1_assignment.json")]) == 0
+    assert capsys.readouterr().out == "j1 ✓\nj2 ✓\nj3 ✓\n"
+    assert main(["check", fx("fix1_assignment.json"), "--out", "/"]) == 2
+    assert capsys.readouterr().out.startswith("error: ")
+
+
+def test_python_m_ambicalc_runs_the_command_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ambicalc", "check", fx("fix1_assignment.json")])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("ambicalc", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "j1 ✓\nj2 ✓\nj3 ✓\n"
+
+
+@pytest.mark.parametrize("name", ["fix1_probability.json", "fix1_mass.json"])
+def test_oracle_refuses_numeric_documents(name):
+    assert run_command(["oracle", fx(name)]) == (
+        2, "error: the oracle checks set-valued documents only"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["build", fx("fix1_interval.json")], "an assignment"),
+        (["incidence", fx("fix1_mass.json")], "an assignment"),
+        (["extract", fx("fix1_assignment.json")], "an interval"),
+        (["decompose", fx("fix1_incidence.json")], "an interval"),
+        (["compose", fx("fix1_ambiguity.json"), fx("fix1_ambiguity.json")], "an incidence"),
+        (["compose", fx("fix1_incidence.json"), fx("fix1_incidence.json")], "an ambiguity"),
+        (["belief", fx("fix1_interval.json"), fx("fix1_mass.json")], "a probability"),
+        (["fishburn", fx("fix1_probability.json"), fx("fix1_probability.json")], "an interval"),
+        (["from-mass", fx("fix1_probability.json")], "a mass"),
+    ],
+)
+def test_a_document_of_the_wrong_kind_names_the_kind_expected(argv, kind):
+    assert run_command(argv) == (2, f"error: expected {kind} document")
+
+
+def test_each_command_reads_its_files_in_order(tmp_path):
+    not_json = _write(tmp_path, "not.json", "{")
+    # compose parses both files before it checks either kind
+    code, text = run_command(["compose", fx("fix1_ambiguity.json"), not_json])
+    assert code == 2 and text.startswith("error: Expecting property name")
+    # belief validates the structure before it reads the probability
+    flipped = _write(tmp_path, "flipped.json", dict(_interval_flips())["lower-x-w3"])
+    assert run_command(["belief", flipped, str(tmp_path / "missing.json")])[0] == 1
+
+
+def test_an_interval_side_that_is_not_an_object(tmp_path):
+    doc = {**_TWO, "kind": "interval", "body": {"lower": [], "upper": {}}}
+    assert run_command(["check", _write(tmp_path, "doc.json", doc)]) == (
+        2, "error: body must be an object"
+    )
+
+
+def test_a_selector_table_rejects_a_repeated_key(tmp_path):
+    table = _write(tmp_path, "table.json", '{"x": "x", "x": "y"}')
+    argv = ["incidence", fx("fix1_assignment.json"), "--selector", "@" + table]
+    assert run_command(argv) == (2, "error: duplicate key 'x'")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integer literals of any length",
+)
+def test_an_over_long_integer_is_a_parse_error(tmp_path):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    doc = _write(tmp_path, "mass.json", '{"kind": "mass", "atoms": ["x"], "body": {"x": %s}}' % digits)
+    code, text = run_command(["check", doc])
+    assert code == 2 and text.startswith("error: Exceeds the limit")
+    table = _write(tmp_path, "table.json", '{"x": %s}' % digits)
+    code, text = run_command(["incidence", fx("fix1_assignment.json"), "--selector", "@" + table])
+    assert code == 2 and text.startswith("error: selector table: Exceeds the limit")

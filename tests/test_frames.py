@@ -73,3 +73,19 @@ def test_boolean_algebra_laws_exhaustive():
             # De Morgan both ways
             assert full ^ (x | y) == (full ^ x) & (full ^ y)
             assert full ^ (x & y) == (full ^ x) | (full ^ y)
+
+
+def test_encode_takes_any_iterable_of_names():
+    fr = Frame(("x", "y", "z"))
+    assert fr.encode(name for name in ("z", "x")) == 0b101
+    with pytest.raises(DuplicateElement):
+        fr.encode(iter(["x", "x"]))
+    with pytest.raises(UnknownElement):
+        fr.encode({"q"})
+
+
+def test_universes_hash_and_print_by_kind_and_names():
+    assert hash(Frame(("x", "y"))) == hash(Frame(("x", "y")))
+    assert len({Frame(("x",)), Frame(("x",)), SituationSpace(("x",))}) == 2
+    assert repr(Frame(("x", "y"))) == "Frame(['x', 'y'])"
+    assert repr(SituationSpace(("w1",))) == "SituationSpace(['w1'])"

@@ -21,7 +21,7 @@ from ambicalc import (
 )
 from ambicalc import harness
 from ambicalc.cli import run_command
-from ambicalc.errors import UsageError, ValidationError
+from ambicalc.errors import AmbicalcError, UsageError, ValidationError
 from ambicalc.harness import (
     _drop_atom,
     _drop_situation,
@@ -470,3 +470,39 @@ def test_failing_trials_are_reported_and_shrunk(monkeypatch, how):
     code, json_text = run_command([*argv, "--format", "json"])
     assert code == 1
     assert _digest(json_text) == json_digest
+
+
+def test_stat_names_a_property_the_report_lacks():
+    report = fuzz(GenConfig(m=2, n=2, seed=1, trials=2))
+    assert report.stat("oracle-agreement").passes == 2
+    with pytest.raises(KeyError):
+        report.stat("fault-detected")
+
+
+def test_a_broken_pool_names_the_guard_a_script_needs(monkeypatch):
+    """A pool whose map fails as a dead worker makes it fail; no process starts."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DeadPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, *args, **kwargs):
+            raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setenv("AMBIG_THREADS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
+    with pytest.raises(AmbicalcError) as info:
+        fuzz(GenConfig(m=2, n=2, trials=2))
+    assert str(info.value) == (
+        "a fuzz worker process died (2 workers); spawned workers re-import the calling"
+        " script, so a script that runs fuzz with several workers must keep that call"
+        ' under if __name__ == "__main__":'
+    )

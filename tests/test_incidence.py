@@ -7,6 +7,7 @@ from ambicalc import (
     AmbiguityAxiomViolation,
     AmbiguityMap,
     Frame,
+    FrameMismatch,
     IncidenceAxiomViolation,
     IncompatiblePair,
     PointMap,
@@ -14,6 +15,7 @@ from ambicalc import (
     SelectorDomainError,
     SetValuedMap,
     SituationSpace,
+    SpaceMismatch,
     ambiguity_from_interval,
     check_compatibility,
     check_incidence_axioms,
@@ -181,3 +183,20 @@ def test_pointmap_validation():
         incidence_from_pointmap(PointMap((0, 3)), Frame(("x", "y")), SituationSpace(("u", "v")))
     with pytest.raises(ValueError):
         incidence_from_pointmap(PointMap((0,)), Frame(("x",)), SituationSpace(("u", "v")))
+
+
+def test_point_map_keeps_its_targets_as_a_tuple():
+    assert PointMap([0, 1, 0]).targets == (0, 1, 0)
+
+
+def test_sandwich_needs_one_frame_and_one_space(fix1):
+    inc = select_incidence(fix1["j"], Selector.min_index())
+    other_frame = incidence_from_pointmap(PointMap((0, 1, 0)), Frame(("p", "q")), fix1["space"])
+    other_space = incidence_from_pointmap(
+        PointMap((0, 1, 0)), fix1["frame"], SituationSpace(("a", "b", "c"))
+    )
+    assert check_sandwich(fix1["s"], inc).ok
+    with pytest.raises(FrameMismatch, match="^structure and incidence map use different frames$"):
+        check_sandwich(fix1["s"], other_frame)
+    with pytest.raises(SpaceMismatch, match="^structure and incidence map use different spaces$"):
+        check_sandwich(fix1["s"], other_space)

@@ -10,6 +10,7 @@ from ambicalc import (
     MaskOutOfRange,
     SetValuedMap,
     SituationSpace,
+    SpaceMismatch,
     UpperAxiomViolation,
     check_assignment,
     check_duality,
@@ -132,3 +133,17 @@ def test_raw_structure_container_is_unchecked(fix1):
     # the plain dataclass accepts garbage; only make_interval_structure gates
     s = IntervalStructure(fix1["s"].upper, fix1["s"].lower)
     assert not check_structure(s.lower, s.upper).ok
+
+
+def test_maps_over_different_spaces_are_a_space_mismatch(fix1):
+    other = SetValuedMap(fix1["frame"], SituationSpace(("a", "b", "c")), fix1["s"].lower.table)
+    for build in (make_interval_structure, check_structure):
+        with pytest.raises(SpaceMismatch, match="^lower/upper maps use different spaces$"):
+            build(other, fix1["s"].upper)
+
+
+def test_find_names_an_axiom_the_report_lacks():
+    report = check_assignment(SetValuedMap(Frame(("x",)), SituationSpace(("w1",)), (0, 1)))
+    assert report.find("j2").ok
+    with pytest.raises(KeyError):
+        report.find("f1")

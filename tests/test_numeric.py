@@ -6,6 +6,7 @@ import pytest
 from ambicalc import (
     BeliefReport,
     Frame,
+    FrameMismatch,
     MassFunction,
     ProbabilityAssignment,
     SituationSpace,
@@ -256,3 +257,27 @@ def test_probability_keeps_integer_numerators_over_one_denominator():
     p = ProbabilityAssignment.from_integers(wide, [rng.randint(0, 9) for _ in range(19)] + [1])
     for mask in [0, wide.full, *(rng.randrange(1 << 20) for _ in range(200))]:
         assert Fraction(p._scaled_of(mask), p.denominator) == p.of(mask)
+
+
+def test_probability_keeps_its_weights_as_a_tuple():
+    p = ProbabilityAssignment(SituationSpace(("w1", "w2")), [Fraction(1, 2), Fraction(1, 2)])
+    assert p.weights == (Fraction(1, 2), Fraction(1, 2))
+
+
+def test_the_bridge_needs_one_space_and_one_frame(fix1):
+    other = ProbabilityAssignment.from_integers(SituationSpace(("a", "b", "c")), [1, 1, 1])
+    with pytest.raises(SpaceMismatch, match="^structure and probability use different spaces$"):
+        mass_from_structure(fix1["s"], other)
+    beliefs = belief_from_structure(fix1["s"], fix1["p"])
+    mass = MassFunction.from_dict(Frame(("p", "q")), {0b11: Fraction(1)})
+    with pytest.raises(FrameMismatch, match="^report and mass function use different frames$"):
+        check_belief_identity(beliefs, mass)
+
+
+def test_belief_report_rows_outside_the_subset_loop():
+    fr = Frame(("x",))
+    zero, half = Fraction(0), Fraction(1, 2)
+    with pytest.raises(ValidationError, match="^tables must cover every subset of the frame$"):
+        BeliefReport(fr, (zero,), (zero,), (zero,))
+    with pytest.raises(ValidationError, match="^Bel\\(Θ\\) and Pl\\(Θ\\) must be 1$"):
+        BeliefReport(fr, (zero, half), (zero, half), (zero, zero))

@@ -13,6 +13,7 @@ from ambicalc import (
     IncidenceMap,
     IntervalStructure,
     PointMap,
+    ProbabilityAssignment,
     SetValuedMap,
     SituationSpace,
     ambiguity_from_interval,
@@ -133,3 +134,9 @@ def test_half_grid_matches_full_grid_on_one_bit_faulty_tables(m):
             faulty = _flip(table, rng)
             assert_oracle_matches_grid(_flip(s.lower, rng), faulty)
             assert_oracle_matches_grid(table, faulty)
+
+
+def test_the_oracle_checks_set_valued_objects_only():
+    p = ProbabilityAssignment.from_integers(SituationSpace(("w1",)), [1])
+    with pytest.raises(TypeError, match="^no oracle for ProbabilityAssignment$"):
+        oracle_verify(p)
