@@ -160,7 +160,7 @@ class MassFunction:
 
     @classmethod
     def from_dict(cls, frame: Frame, masses) -> "MassFunction":
-        return cls(frame, tuple(sorted(masses.items())))
+        return cls(frame, tuple(masses.items()))
 
     def focal_masks(self) -> tuple[int, ...]:
         return tuple(mask for mask, _ in self.masses)

@@ -6,10 +6,13 @@ its own complement/union code.  Do not import set-algebra helpers from the
 optimized modules here; only the typed containers and the report classes are
 shared, so the two code paths stay comparable but never share a computation.
 
-Scan conventions match the optimized checkers on purpose: subsets ascend in
-mask order and the first violating pair is reported.  The pair loops walk
-every unordered pair once, A <= B; the pair axioms are symmetric, so that
-first pair is the lexicographically smallest violating ordered pair.
+Each axiom is one row: its name, a lazy ``next(..., None)`` search for the
+first subset A, or pair A <= B, where the formula fails, and its witness
+text.  The searches are generators, so no list of subsets or pairs is ever
+built.  Their scan order matches the optimized checkers on purpose: A
+ascends in mask order, and B ascends from A (from A+1 for j3, whose pairs
+are distinct).  The pair axioms are symmetric, so the first hit is the
+lexicographically smallest violating ordered pair.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import cache
 from .ambiguity import AmbiguityMap
 from .incidence import IncidenceMap
 from .interval import BasicAssignment, IntervalStructure, SetValuedMap
-from .reports import AxiomReport, Verdict, Witness, failed, passed
+from .reports import AxiomReport, Verdict, Witness
 
 
 def _members(mask: int, width: int) -> frozenset[int]:
@@ -45,206 +48,116 @@ def _sets(m: SetValuedMap) -> list[frozenset[int]]:
     return [members[entry] for entry in m.table]
 
 
-def _describe(universe_names, members: frozenset[int]) -> str:
+def _describe(frame, mask: int) -> str:
+    members = _members(mask, frame.size)
     if not members:
         return "∅"
-    return "{" + ",".join(universe_names[k] for k in sorted(members)) + "}"
+    return "{" + ",".join(frame.names[k] for k in sorted(members)) + "}"
 
 
-def _pair_fail(axiom: str, frame, a: int, b: int, text: str) -> Verdict:
-    detail = f"A={_describe(frame.names, _members(a, frame.size))}, " \
-             f"B={_describe(frame.names, _members(b, frame.size))}: {text}"
-    return failed(axiom, Witness(subset_a=a, subset_b=b, detail=detail))
-
-
-def _unary_fail(axiom: str, frame, a: int, text: str) -> Verdict:
-    detail = f"A={_describe(frame.names, _members(a, frame.size))}: {text}"
-    return failed(axiom, Witness(subset_a=a, detail=detail))
-
-
-def _check_union_dist(axiom: str, frame, sets) -> Verdict:
-    size = len(sets)
-    for a in range(size):
-        for b in range(a, size):
-            if sets[a | b] != sets[a] | sets[b]:
-                return _pair_fail(axiom, frame, a, b, "union image differs from image union")
-    return passed(axiom)
-
-
-def _check_inter_dist(axiom: str, frame, sets) -> Verdict:
-    size = len(sets)
-    for a in range(size):
-        for b in range(a, size):
-            if sets[a & b] != sets[a] & sets[b]:
-                return _pair_fail(
-                    axiom, frame, a, b, "intersection image differs from image intersection"
-                )
-    return passed(axiom)
-
-
-def _check_inter_bound(axiom: str, frame, sets) -> Verdict:
-    size = len(sets)
-    for a in range(size):
-        for b in range(a, size):
-            if not sets[a & b] <= sets[a] & sets[b]:
-                return _pair_fail(axiom, frame, a, b, "intersection image exceeds the bound")
-    return passed(axiom)
-
-
-def _check_union_bound(axiom: str, frame, sets) -> Verdict:
-    size = len(sets)
-    for a in range(size):
-        for b in range(a, size):
-            if not sets[a] | sets[b] <= sets[a | b]:
-                return _pair_fail(axiom, frame, a, b, "image union exceeds the union image")
-    return passed(axiom)
-
-
-def _check_empty(axiom: str, frame, sets, label: str) -> Verdict:
-    if sets[0]:
-        return _unary_fail(axiom, frame, 0, f"{label} of ∅ is nonempty")
-    return passed(axiom)
-
-
-def _check_full(axiom: str, frame, sets, omega: frozenset, label: str) -> Verdict:
-    full = len(sets) - 1
-    if sets[full] != omega:
-        return _unary_fail(axiom, frame, full, f"{label} of Θ is not the whole space")
-    return passed(axiom)
+def _verdict(axiom: str, frame, hit, text: str) -> Verdict:
+    """Pass when the search found nothing; otherwise name the witness subset
+    A, or pair (A, B), before ``text``."""
+    if hit is None:
+        return Verdict(axiom, True)
+    a, b = hit if isinstance(hit, tuple) else (hit, None)
+    named = f"A={_describe(frame, a)}"
+    if b is not None:
+        named += f", B={_describe(frame, b)}"
+    return Verdict(axiom, False, Witness(subset_a=a, subset_b=b, detail=f"{named}: {text}"))
 
 
 def _structure_verdicts(s: IntervalStructure) -> list[Verdict]:
     frame = s.lower.frame
     omega = frozenset(range(s.lower.space.size))
-    lower = _sets(s.lower)
-    upper = _sets(s.upper)
-    size = len(lower)
-    verdicts = [
-        _check_empty("f̄1", frame, upper, "upper image"),
-        _check_full("f̄2", frame, upper, omega, "upper image"),
-        _check_union_dist("f̄3", frame, upper),
-        _check_inter_bound("f̄4", frame, upper),
-    ]
-    duality = passed("duality")
+    lo = _sets(s.lower)
+    up = _sets(s.upper)
+    size = len(lo)
     full = size - 1
-    for a in range(size):
-        if lower[a] != omega - upper[full ^ a]:
-            duality = _unary_fail(
-                "duality", frame, a, "lower image is not the complement of the upper ¬A image"
-            )
-            break
-    verdicts.append(duality)
-    verdicts.extend(
-        [
-            _check_empty("f1", frame, lower, "lower image"),
-            _check_full("f2", frame, lower, omega, "lower image"),
-            _check_inter_dist("f3", frame, lower),
-            _check_union_bound("f4", frame, lower),
-        ]
-    )
-    sandwich = passed("sandwich")
-    for a in range(size):
-        if not lower[a] <= upper[a]:
-            sandwich = _unary_fail("sandwich", frame, a, "lower image exceeds upper image")
-            break
-    verdicts.append(sandwich)
-    return verdicts
+    rows = [
+        ("f̄1", 0 if up[0] else None, "upper image of ∅ is nonempty"),
+        ("f̄2", None if up[full] == omega else full, "upper image of Θ is not the whole space"),
+        ("f̄3", next(((a, b) for a in range(size) for b in range(a, size)
+                     if up[a | b] != up[a] | up[b]), None),
+         "union image differs from image union"),
+        ("f̄4", next(((a, b) for a in range(size) for b in range(a, size)
+                     if not up[a & b] <= up[a] & up[b]), None),
+         "intersection image exceeds the bound"),
+        ("duality", next((a for a in range(size) if lo[a] != omega - up[full ^ a]), None),
+         "lower image is not the complement of the upper ¬A image"),
+        ("f1", 0 if lo[0] else None, "lower image of ∅ is nonempty"),
+        ("f2", None if lo[full] == omega else full, "lower image of Θ is not the whole space"),
+        ("f3", next(((a, b) for a in range(size) for b in range(a, size)
+                    if lo[a & b] != lo[a] & lo[b]), None),
+         "intersection image differs from image intersection"),
+        ("f4", next(((a, b) for a in range(size) for b in range(a, size)
+                    if not lo[a] | lo[b] <= lo[a | b]), None),
+         "image union exceeds the union image"),
+        ("sandwich", next((a for a in range(size) if not lo[a] <= up[a]), None),
+         "lower image exceeds upper image"),
+    ]
+    return [_verdict(axiom, frame, hit, text) for axiom, hit, text in rows]
 
 
 def _assignment_verdicts(j: BasicAssignment) -> list[Verdict]:
     frame = j.map.frame
     space = j.map.space
-    omega = frozenset(range(space.size))
     cells = _sets(j.map)
     size = len(cells)
-    verdicts = [_check_empty("j1", frame, cells, "cell")]
-    covered = frozenset()
-    for cell in cells:
-        covered = covered | cell
-    if covered == omega:
-        verdicts.append(passed("j2"))
-    else:
-        w = min(omega - covered)
-        verdicts.append(
-            failed(
-                "j2",
-                Witness(situation=w, detail=f"situation {space.names[w]} lies in no cell"),
-            )
+    uncovered = frozenset(range(space.size)) - frozenset().union(*cells)
+    coverage = Verdict("j2", True)
+    if uncovered:
+        w = min(uncovered)
+        coverage = Verdict(
+            "j2", False, Witness(situation=w, detail=f"situation {space.names[w]} lies in no cell")
         )
-    overlap = passed("j3")
-    for a in range(size):
-        done = False
-        for b in range(a + 1, size):
-            if cells[a] & cells[b]:
-                overlap = _pair_fail("j3", frame, a, b, "cells overlap")
-                done = True
-                break
-        if done:
-            break
-    verdicts.append(overlap)
-    return verdicts
+    return [
+        _verdict("j1", frame, 0 if cells[0] else None, "cell of ∅ is nonempty"),
+        coverage,
+        _verdict("j3", frame, next(((a, b) for a in range(size) for b in range(a + 1, size)
+                                    if cells[a] & cells[b]), None), "cells overlap"),
+    ]
 
 
 def _ambiguity_verdicts(amb: AmbiguityMap) -> list[Verdict]:
     frame = amb.map.frame
-    sets = _sets(amb.map)
-    size = len(sets)
+    t = _sets(amb.map)
+    size = len(t)
     full = size - 1
-    verdicts = [_check_empty("a1", frame, sets, "image")]
-    symmetry = passed("a2")
-    for a in range(size):
-        if sets[a] != sets[full ^ a]:
-            symmetry = _unary_fail("a2", frame, a, "image differs from the ¬A image")
-            break
-    verdicts.append(symmetry)
-    mixed_union = passed("a3.1")
-    for a in range(size):
-        done = False
-        for b in range(a, size):
-            if not sets[a & b] | sets[a | b] <= sets[a] | sets[b]:
-                mixed_union = _pair_fail("a3.1", frame, a, b, "mixed union bound fails")
-                done = True
-                break
-        if done:
-            break
-    verdicts.append(mixed_union)
-    mixed_inter = passed("a3.2")
-    for a in range(size):
-        done = False
-        for b in range(a, size):
-            if not sets[a & b] & sets[a | b] <= sets[a] & sets[b]:
-                mixed_inter = _pair_fail("a3.2", frame, a, b, "mixed intersection bound fails")
-                done = True
-                break
-        if done:
-            break
-    verdicts.append(mixed_inter)
-    if sets[full]:
-        verdicts.append(_unary_fail("a4", frame, full, "image of Θ is nonempty"))
-    else:
-        verdicts.append(passed("a4"))
-    return verdicts
+    rows = [
+        ("a1", 0 if t[0] else None, "image of ∅ is nonempty"),
+        ("a2", next((a for a in range(size) if t[a] != t[full ^ a]), None),
+         "image differs from the ¬A image"),
+        ("a3.1", next(((a, b) for a in range(size) for b in range(a, size)
+                       if not t[a & b] | t[a | b] <= t[a] | t[b]), None),
+         "mixed union bound fails"),
+        ("a3.2", next(((a, b) for a in range(size) for b in range(a, size)
+                       if not t[a & b] & t[a | b] <= t[a] & t[b]), None),
+         "mixed intersection bound fails"),
+        ("a4", full if t[full] else None, "image of Θ is nonempty"),
+    ]
+    return [_verdict(axiom, frame, hit, text) for axiom, hit, text in rows]
 
 
 def _incidence_verdicts(inc: IncidenceMap) -> list[Verdict]:
     frame = inc.map.frame
     omega = frozenset(range(inc.map.space.size))
-    sets = _sets(inc.map)
-    size = len(sets)
+    t = _sets(inc.map)
+    size = len(t)
     full = size - 1
-    verdicts = [
-        _check_empty("i1", frame, sets, "image"),
-        _check_full("i2", frame, sets, omega, "image"),
-        _check_union_dist("i3", frame, sets),
+    rows = [
+        ("i1", 0 if t[0] else None, "image of ∅ is nonempty"),
+        ("i2", None if t[full] == omega else full, "image of Θ is not the whole space"),
+        ("i3", next(((a, b) for a in range(size) for b in range(a, size)
+                     if t[a | b] != t[a] | t[b]), None),
+         "union image differs from image union"),
+        ("i4", next((a for a in range(size) if omega - t[a] != t[full ^ a]), None),
+         "complement of image differs from ¬A image"),
+        ("i3'", next(((a, b) for a in range(size) for b in range(a, size)
+                      if t[a & b] != t[a] & t[b]), None),
+         "intersection image differs from image intersection"),
     ]
-    exchange = passed("i4")
-    for a in range(size):
-        if omega - sets[a] != sets[full ^ a]:
-            exchange = _unary_fail("i4", frame, a, "complement of image differs from ¬A image")
-            break
-    verdicts.append(exchange)
-    verdicts.append(_check_inter_dist("i3'", frame, sets))
-    return verdicts
+    return [_verdict(axiom, frame, hit, text) for axiom, hit, text in rows]
 
 
 def oracle_verify(obj) -> AxiomReport:

@@ -31,14 +31,6 @@ class Verdict:
     witness: Witness | None = None
 
 
-def passed(axiom: str) -> Verdict:
-    return Verdict(axiom, True)
-
-
-def failed(axiom: str, witness: Witness) -> Verdict:
-    return Verdict(axiom, False, witness)
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     """Ordered list of per-axiom verdicts; witnesses are present iff failed."""
