@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -259,10 +260,7 @@ def _cmd_fuzz(args):
         n=args.situations,
         seed=args.seed,
         trials=args.trials,
-        focal_bias=args.focal_bias,
-        zero_weights=args.zero_weights,
         fault_injection=args.fault_injection,
-        seeded_selectors=args.selectors,
     )
     report = fuzz(cfg)
     if args.format == "json":
@@ -280,9 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     and one instance serves every ``run_command`` call.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, metavar="N", help="master seed")
     common.add_argument("--out", metavar="FILE", help="write the result to FILE")
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, metavar="N", help="master seed")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("text", "json"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="ambicalc",
@@ -290,15 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, func, help_text, *files):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def cmd(name, func, help_text, *files, flags=()):
+        p = sub.add_parser(name, parents=[common, *flags], help=help_text)
         p.set_defaults(func=func)
         for file in files:
             p.add_argument(file)
         return p
 
-    cmd("check", _cmd_check, "run the axiom suite for a document", "file")
-    cmd("oracle", _cmd_oracle, "run the naive reference checker for a document", "file")
+    cmd("check", _cmd_check, "run the axiom suite for a document", "file", flags=[formatted])
+    cmd("oracle", _cmd_oracle, "run the naive reference checker for a document", "file",
+        flags=[formatted])
     cmd("extract", _cmd_extract, "interval structure -> basic assignment", "file")
     cmd("build", _cmd_build, "basic assignment -> interval structure", "file")
     cmd("ambiguity", _cmd_ambiguity, "interval structure -> ambiguity map (the gap)", "file")
@@ -312,23 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
     cmd("compose", _cmd_compose, "incidence + ambiguity -> interval structure",
         "incidence_file", "ambiguity_file")
     cmd("belief", _cmd_belief, "exact Bel/Pl/alpha tables for a structure and probability",
-        "interval_file", "probability_file")
+        "interval_file", "probability_file", flags=[formatted])
     cmd("from-mass", _cmd_from_mass, "mass function -> canonical model documents", "file")
     cmd("fishburn", _cmd_fishburn, "check the ambiguity-measure laws of alpha = Pl - Bel",
-        "interval_file", "probability_file")
-    p = cmd("gen", _cmd_gen, "generate a seeded random document")
+        "interval_file", "probability_file", flags=[formatted])
+    p = cmd("gen", _cmd_gen, "generate a seeded random document", flags=[seeded])
     p.add_argument("--kind", choices=("assignment", "probability", "incidence"), required=True)
     p.add_argument("--atoms", type=int, default=3, metavar="M")
     p.add_argument("--situations", type=int, default=4, metavar="N")
-    p = cmd("fuzz", _cmd_fuzz, "run the seeded end-to-end fuzz driver")
+    p = cmd("fuzz", _cmd_fuzz, "run the seeded end-to-end fuzz driver", flags=[seeded, formatted])
     p.add_argument("--trials", type=int, default=100, metavar="T")
     p.add_argument("--atoms", type=int, default=5, metavar="M")
     p.add_argument("--situations", type=int, default=10, metavar="N")
-    p.add_argument("--selectors", type=int, default=5, metavar="K",
-                   help="seeded selectors exercised per trial")
     p.add_argument("--fault-injection", action="store_true")
-    p.add_argument("--focal-bias", type=float, default=None, metavar="B")
-    p.add_argument("--zero-weights", action="store_true")
     return parser
 
 
@@ -353,5 +350,11 @@ def run_command(argv) -> tuple[int, str]:
 def main(argv=None) -> int:
     code, text = run_command(sys.argv[1:] if argv is None else argv)
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout; keep the flush at exit from raising again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
     return code

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice
-from math import comb, exp, isfinite
 
 from .ambiguity import ambiguity_from_interval, check_ambiguity_axioms
 from .documents import dumps
@@ -59,13 +58,14 @@ STANDARD_PROPERTIES = (
     "oracle-agreement",
 )
 FAULT_PROPERTIES = ("fault-detected", "oracle-agreement")
+SEEDED_SELECTORS = 5  # seeded selections checked per standard trial
 
 _SHRINK_BUDGET = 300
 
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Sizes and switches for the generators and the fuzz driver.
+    """Sizes for the generators and the fuzz driver, and its mode.
 
     ``m``/``n`` are exact sizes for the generators; the fuzz driver treats
     them as upper bounds and draws per-trial sizes from its own stream.
@@ -75,10 +75,7 @@ class GenConfig:
     n: int
     seed: int = 0
     trials: int = 1
-    focal_bias: float | None = None
-    zero_weights: bool = False
     fault_injection: bool = False
-    seeded_selectors: int = 5
 
     def __post_init__(self):
         if not 1 <= self.m <= Frame.MAX_ATOMS:
@@ -87,20 +84,6 @@ class GenConfig:
             raise ValueError(f"situation count must be in 1..{SituationSpace.MAX_SITUATIONS}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.seeded_selectors < 0:
-            raise ValueError("seeded selector count cannot be negative")
-        if self.focal_bias is not None:
-            try:
-                total = sum(_size_weights(self.m, self.focal_bias))
-            except OverflowError:
-                total = float("inf")
-            # fuzz trials draw m' <= m, whose weights are no larger and keep
-            # the k = 1 term, so a bias usable at m is usable at every m'
-            if not (isfinite(total) and total > 0):
-                raise ValueError(
-                    f"focal bias {self.focal_bias!r} gives no finite positive"
-                    f" size weights at {self.m} atoms"
-                )
 
 
 def universes_for(cfg: GenConfig) -> tuple[Frame, SituationSpace]:
@@ -109,29 +92,13 @@ def universes_for(cfg: GenConfig) -> tuple[Frame, SituationSpace]:
     return frame, space
 
 
-def _size_weights(m: int, bias: float) -> list[float]:
-    """Weights of focal sizes 1..m: comb(m, k) * exp(bias * k); a positive
-    bias favors big focal elements."""
-    return [comb(m, k) * exp(bias * k) for k in range(1, m + 1)]
-
-
-def _draw_focal(rng: random.Random, m: int, bias: float | None) -> int:
-    if bias is None:
-        return rng.randrange(1, 1 << m)
-    k = rng.choices(range(1, m + 1), weights=_size_weights(m, bias))[0]
-    mask = 0
-    for idx in rng.sample(range(m), k):
-        mask |= 1 << idx
-    return mask
-
-
 def gen_assignment(cfg: GenConfig) -> BasicAssignment:
     """Drop each situation into the cell of a random nonempty subset."""
     frame, space = universes_for(cfg)
     rng = random.Random(derive_seed("assignment", cfg.seed))
     cells = [0] * (1 << cfg.m)
     for w in range(cfg.n):
-        cells[_draw_focal(rng, cfg.m, cfg.focal_bias)] |= 1 << w
+        cells[rng.randrange(1, 1 << cfg.m)] |= 1 << w
     return BasicAssignment(SetValuedMap(frame, space, tuple(cells)))
 
 
@@ -140,9 +107,10 @@ def gen_pointmap(cfg: GenConfig) -> PointMap:
     return PointMap(tuple(rng.randrange(cfg.m) for _ in range(cfg.n)))
 
 
-def _probability_for(space: SituationSpace, seed: int, zero_weights: bool) -> ProbabilityAssignment:
+def _probability_for(space: SituationSpace, seed: int, lo: int) -> ProbabilityAssignment:
+    """Integer weights in [lo, 1000] normalized exactly; with lo = 0 it
+    draws again until the weights are not all zero."""
     rng = random.Random(derive_seed("probability", seed))
-    lo = 0 if zero_weights else 1
     while True:
         weights = [rng.randint(lo, 1000) for _ in range(space.n)]
         if sum(weights) > 0:
@@ -151,10 +119,10 @@ def _probability_for(space: SituationSpace, seed: int, zero_weights: bool) -> Pr
 
 
 def gen_probability(cfg: GenConfig) -> ProbabilityAssignment:
-    """Integer weights in [1, 1000] normalized exactly; the zero-inclusive
-    mode also draws zeros but never an all-zero vector."""
+    """Integer weights in [1, 1000] normalized exactly; a fuzz trial also
+    draws zero weights."""
     _, space = universes_for(cfg)
-    return _probability_for(space, cfg.seed, cfg.zero_weights)
+    return _probability_for(space, cfg.seed, 1)
 
 
 @dataclass(frozen=True)
@@ -180,7 +148,6 @@ class FuzzReport:
     max_atoms: int
     max_situations: int
     mode: str
-    seeded_selectors: int
     stats: tuple[PropertyStat, ...]
     failures: tuple[FailureCase, ...]
 
@@ -202,7 +169,7 @@ class FuzzReport:
             f"max-atoms: {self.max_atoms}",
             f"max-situations: {self.max_situations}",
             f"mode: {self.mode}",
-            f"seeded-selectors: {self.seeded_selectors}",
+            f"seeded-selectors: {SEEDED_SELECTORS}",
             "properties:",
         ]
         for s in self.stats:
@@ -226,7 +193,7 @@ class FuzzReport:
             "max_atoms": self.max_atoms,
             "max_situations": self.max_situations,
             "mode": self.mode,
-            "seeded_selectors": self.seeded_selectors,
+            "seeded_selectors": SEEDED_SELECTORS,
             "properties": {s.name: {"pass": s.passes, "fail": s.fails} for s in self.stats},
             "failures": [
                 {
@@ -248,7 +215,6 @@ def _trial_config(cfg: GenConfig, trial: int) -> GenConfig:
         m=1 + sizes.randrange(cfg.m),
         n=1 + sizes.randrange(cfg.n),
         seed=derive_seed("trial", cfg.seed, trial),
-        trials=1,
     )
 
 
@@ -282,7 +248,7 @@ def _evaluate_standard(cfg: GenConfig, sub: GenConfig, trial: int, j: BasicAssig
         # the checks are pure functions of the tables: a repeated table is
         # built, but not checked again
         checked = {inc_min.map.table}
-        for k in range(cfg.seeded_selectors):
+        for k in range(SEEDED_SELECTORS):
             sel = Selector.seeded(derive_seed("selector-seed", cfg.seed, trial, k))
             inc_k = select_incidence(j, sel)
             if inc_k.map.table in checked:
@@ -298,7 +264,7 @@ def _evaluate_standard(cfg: GenConfig, sub: GenConfig, trial: int, j: BasicAssig
         composed = compose_interval(inc_min, amb_min)
         outcomes["decompose-compose"] = composed == s and amb_min == amb
 
-        prob = _probability_for(j.space, sub.seed, sub.zero_weights)
+        prob = _probability_for(j.space, sub.seed, 0)
         beliefs = belief_from_structure(s, prob)
         mass = mass_from_structure(s, prob)
         identity = check_belief_identity(beliefs, mass)
@@ -435,38 +401,42 @@ def worker_count(trials: int) -> int:
     return min(asked, os.cpu_count() or 1, trials)
 
 
+def _results(runner, trials: int):
+    """Each trial's ``runner`` result, in trial order: in this process with
+    one worker (see ``worker_count``), else in chunks on spawned processes."""
+    workers = worker_count(trials)
+    if workers == 1:
+        yield from map(runner, range(trials))
+        return
+    # imported here, so the serial path does not load the pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    chunk = -(-trials // (4 * workers))
+    context = multiprocessing.get_context("spawn")
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            yield from pool.map(runner, range(trials), chunksize=chunk)
+    except BrokenProcessPool:
+        raise AmbicalcError(
+            f"a fuzz worker process died ({workers} workers); spawned workers "
+            "re-import the calling script, so a script that runs fuzz with several "
+            'workers must keep that call under if __name__ == "__main__":'
+        ) from None
+
+
 def fuzz(cfg: GenConfig) -> FuzzReport:
     """Run the pipeline for every trial and tally per-property verdicts.
 
-    With one worker (see ``worker_count``) the trials run in this process;
-    with more, in that many spawned processes, in chunks.  Results are merged
-    in trial order, so the report does not depend on the worker count.
+    Each result is counted as it arrives, in trial order, so the report does
+    not depend on the worker count and no list of results is kept.
     """
     properties = FAULT_PROPERTIES if cfg.fault_injection else STANDARD_PROPERTIES
     runner = partial(_fault_trial if cfg.fault_injection else _standard_trial, cfg)
-    workers = worker_count(cfg.trials)
-    if workers == 1:
-        results = [runner(t) for t in range(cfg.trials)]
-    else:
-        # imported here, so the serial path does not load the pool machinery
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        chunk = -(-cfg.trials // (4 * workers))
-        context = multiprocessing.get_context("spawn")
-        try:
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                results = list(pool.map(runner, range(cfg.trials), chunksize=chunk))
-        except BrokenProcessPool:
-            raise AmbicalcError(
-                f"a fuzz worker process died ({workers} workers); spawned workers "
-                "re-import the calling script, so a script that runs fuzz with several "
-                'workers must keep that call under if __name__ == "__main__":'
-            ) from None
     counts = {name: [0, 0] for name in properties}
     failures = []
-    for outcomes, case in results:
+    for outcomes, case in _results(runner, cfg.trials):
         for name in properties:
             counts[name][0 if outcomes[name] else 1] += 1
         if case is not None:
@@ -478,7 +448,6 @@ def fuzz(cfg: GenConfig) -> FuzzReport:
         max_atoms=cfg.m,
         max_situations=cfg.n,
         mode="fault-injection" if cfg.fault_injection else "standard",
-        seeded_selectors=cfg.seeded_selectors,
         stats=stats,
         failures=tuple(failures),
     )

@@ -26,7 +26,7 @@ settings.load_profile("suite")
 
 # the acceptance session: seed 42, 1000 trials, frames up to 5 atoms and
 # spaces up to 10 situations
-SESSION_CFG = GenConfig(m=5, n=10, seed=42, trials=1000, seeded_selectors=5)
+SESSION_CFG = GenConfig(m=5, n=10, seed=42, trials=1000)
 
 
 @pytest.fixture(scope="session")

@@ -110,9 +110,7 @@ def test_criterion_6_fishburn(session_report, fix1, announce):
 
 def test_criterion_7_oracle_agreement(session_report, announce):
     ok = _clean(session_report, "oracle-agreement")
-    faults = fuzz(
-        GenConfig(m=5, n=10, seed=42, trials=100, fault_injection=True, seeded_selectors=5)
-    )
+    faults = fuzz(GenConfig(m=5, n=10, seed=42, trials=100, fault_injection=True))
     ok = ok and _clean(faults, "fault-detected") and _clean(faults, "oracle-agreement")
     announce("oracle agreement, including 100 injected single-bit faults", ok)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -430,13 +431,6 @@ def test_deeply_nested_json_is_exit_2(tmp_path):
     assert (code, text) == (2, "error: selector table: nests too deeply")
 
 
-@pytest.mark.parametrize("bias", ["nan", "inf", "1e308", "-1e308"])
-def test_fuzz_unusable_focal_bias_is_exit_2(bias):
-    code, text = run_command(["fuzz", "--trials", "1", f"--focal-bias={bias}"])
-    assert code == 2
-    assert text.startswith("error: focal bias ")
-
-
 def test_parser_is_built_once_and_reused():
     assert build_parser() is build_parser()
     argv = ["check", fx("fix1_interval.json"), "--format", "json"]
@@ -597,6 +591,67 @@ def test_main_prints_the_result_and_returns_the_code(capsys):
     assert capsys.readouterr().out == "j1 ✓\nj2 ✓\nj3 ✓\n"
     assert main(["check", fx("fix1_assignment.json"), "--out", "/"]) == 2
     assert capsys.readouterr().out.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["build", fx("fix1_assignment.json")], 0),
+        (["compose", fx("fix2_incidence.json"), fx("fix2_ambiguity.json")], 1),
+        (["check", fx("missing.json")], 2),
+    ],
+)
+def test_main_returns_the_code_when_the_reader_closed_stdout(monkeypatch, argv, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(argv) == code
+
+
+# each command: a call that exits 0, and the flags it reads besides --out
+COMMAND_FLAGS = {
+    "check": ([fx("fix1_interval.json")], {"--format"}),
+    "oracle": ([fx("fix1_interval.json")], {"--format"}),
+    "extract": ([fx("fix1_interval.json")], set()),
+    "build": ([fx("fix1_assignment.json")], set()),
+    "ambiguity": ([fx("fix1_interval.json")], set()),
+    "incidence": ([fx("fix1_assignment.json")], {"--selector"}),
+    "decompose": ([fx("fix1_interval.json")], {"--selector", "--out-incidence", "--out-ambiguity"}),
+    "compose": ([fx("fix1_incidence.json"), fx("fix1_ambiguity.json")], set()),
+    "belief": ([fx("fix1_interval.json"), fx("fix1_probability.json")], {"--format"}),
+    "from-mass": ([fx("fix1_mass.json")], set()),
+    "fishburn": ([fx("fix1_interval.json"), fx("fix1_probability.json")], {"--format"}),
+    "gen": (["--kind", "assignment"], {"--seed", "--kind", "--atoms", "--situations"}),
+    "fuzz": (
+        ["--trials", "2"],
+        {"--seed", "--format", "--trials", "--atoms", "--situations", "--fault-injection"},
+    ),
+}
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_out_and_only_the_flags_it_reads(tmp_path, command):
+    args, reads = COMMAND_FLAGS[command]
+    argv = [command, *args]
+    code, text = run_command(argv)
+    assert code == 0 and text
+    out = tmp_path / "out.txt"
+    assert run_command([*argv, "--out", str(out)]) == (0, "")
+    assert out.read_text(encoding="utf-8") == text
+    # a value for every flag of any command, and for the removed fuzz switches
+    flag_values = {
+        "--seed": ["9"], "--format": ["json"], "--selector": ["seed:7"],
+        "--out-incidence": [str(out)], "--out-ambiguity": [str(out)], "--kind": ["probability"],
+        "--atoms": ["2"], "--situations": ["3"], "--trials": ["3"], "--fault-injection": [],
+        "--selectors": ["5"], "--focal-bias": ["1"], "--zero-weights": [],
+    }
+    for flag, value in flag_values.items():
+        code, flagged = run_command([*argv, flag, *value])
+        if flag not in reads:
+            assert (code, flagged) == (2, ""), flag
+        elif flag in ("--seed", "--format"):
+            assert code == 0 and flagged != text, flag
+        else:
+            assert code == 0, flag
 
 
 def test_python_m_ambicalc_runs_the_command_line(monkeypatch, capsys):

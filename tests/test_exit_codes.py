@@ -90,21 +90,17 @@ def argvs(draw, doc: str, workdir: Path) -> list[str]:
         argv += ["--trials", str(draw(st.integers(0, 2)))]
         argv += ["--atoms", str(draw(st.integers(0, 4)))]
         argv += ["--situations", str(draw(st.integers(0, 6)))]
-        argv += ["--selectors", str(draw(st.integers(-1, 2)))]
         if draw(st.booleans()):
-            biases = ["nan", "inf", "-inf", "1e308", "-1e308", "2", "-2", "x"]
-            argv.append(f"--focal-bias={draw(st.sampled_from(biases))}")
-        for flag in ("--fault-injection", "--zero-weights"):
-            if draw(st.booleans()):
-                argv.append(flag)
-    if draw(st.booleans()):
+            argv.append("--fault-injection")
+    if command in ("gen", "fuzz") and draw(st.booleans()):
         argv += ["--seed", draw(seeds | st.just("x"))]
-    if draw(st.booleans()):
+    if command in ("check", "oracle", "belief", "fishburn", "fuzz") and draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json", "yaml"]))]
     if draw(st.booleans()):
         argv += ["--out", str(workdir / "out.json")]
     if draw(st.integers(0, 9)) == 0:
-        stray = draw(st.sampled_from(["--help", "-x", "--", "--sample", "--validate"]))
+        strays = ["--help", "-x", "--", "--sample", "--validate", "--seed=3", "--format=json"]
+        stray = draw(st.sampled_from(strays))
         argv.insert(draw(st.integers(0, len(argv))), stray)
     return argv
 
