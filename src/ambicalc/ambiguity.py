@@ -58,19 +58,18 @@ def check_ambiguity_axioms(m: SetValuedMap) -> AxiomReport:
     def mixed(test, scan, op, sign):
         if not misses:  # the split form holds, and the mixed bounds with it
             return None
-        return pair_at(m, test, scan, lambda a, b: (
+        return pair_at(m, partial(test, misses=misses), scan, lambda a, b: (
             f"a(A∩B){sign}a(A∪B)={name(op(t[a & b], t[a | b]))} "
             f"⊄ a(A){sign}a(B)={name(op(t[a], t[b]))}"
         ))
 
-    union_test = partial(mixed_union_failure, misses=misses)
     asymmetric = next((a for a in range(len(t)) if t[a] != t[full ^ a]), None)
     return axiom_report(
         ("a1", image_at(m, 0, 0, "image of ∅")),
         ("a2", witness_at(fr, asymmetric, lambda a: (
             f"image {name(t[a])} differs from image of ¬A {name(t[full ^ a])}"
         ))),
-        ("a3.1", mixed(union_test, first_mixed_union_violation, or_, "∪")),
+        ("a3.1", mixed(mixed_union_failure, first_mixed_union_violation, or_, "∪")),
         ("a3.2", mixed(mixed_inter_failure, first_mixed_inter_violation, and_, "∩")),
         ("a4", image_at(m, full, 0, "image of Θ")),
     )

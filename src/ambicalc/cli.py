@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def cmd(name, func, help_text, *files, flags=()):
         p = sub.add_parser(name, parents=[common, *flags], help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         for file in files:
             p.add_argument(file)
         return p
@@ -332,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> tuple[int, str]:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # name the command's own flags, not the top-level usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), ""
     try:

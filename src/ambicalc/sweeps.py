@@ -3,10 +3,9 @@
 Every pair axiom here holds for all 4^m pairs exactly when a local condition
 holds (the set-valued ones act bitwise on situation masks; α3 is
 submodularity): the ``*_failure`` tests decide each axiom in O(m·2^m) (α3 in
-O(m²·2^m), a3.1 in O(m²) big-int operations per situation tested).  A
-failing set-valued test also returns the situations where its axiom fails;
-the walks behind f̄3–f4 give None where those would cut nothing from the
-table (see ``_fault``).
+O(m²·2^m), a3.1 in O(m²) big-int operations per situation tested).  Each
+test reads its table once, and a failing set-valued test also returns every
+situation where its axiom fails (a3.1 every one where the split form fails).
 
 A failing test's pair is the witness a check reports above ``SCAN_LIMIT``
 atoms; up to it, ``smallest_witness`` swaps in the first pair A <= B of the
@@ -22,7 +21,7 @@ shape that their callers pass.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from itertools import chain, repeat
 from operator import or_
 
@@ -49,9 +48,8 @@ def smallest_witness(fault, scan, *tables):
     ``tables``, the smallest violating pair.  A set-valued scan searches the
     situations of its first table, so that table goes in cut down to the
     situations where the axiom fails: every violating pair violates it in one
-    of them.  None for the situations cuts nothing: a test reports it where
-    a cut would remove nothing, and for α3, which does not act situation by
-    situation.
+    of them.  Only α3, which does not act situation by situation, passes
+    None for the situations, and cuts nothing.
     """
     hit, within = fault or (None, None)
     first, *rest = tables
@@ -66,25 +64,6 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _fault(faults, t):
-    """None when the iterator ``faults`` of a test's (failure, situations)
-    is empty, else the first failure and the union of the situations,
-    read on until it holds every situation of ``t``.  The union is None when
-    it would cut nothing: when it holds them all, and above ``SCAN_LIMIT``
-    atoms, where no scan reads it and the walk stops at the first failure."""
-    hit, within = next(faults, (None, 0))
-    if hit is None:
-        return None
-    if len(t) > 1 << SCAN_LIMIT:
-        return hit, None
-    everything = reduce(or_, t, 0)
-    for _, bad in faults:
-        if within == everything:
-            break
-        within |= bad
-    return hit, None if within == everything else within
-
-
 def union_hom_failure(t):
     """None when t(A∪B) = t(A) ∪ t(B) for every pair, else a pair where it
     fails and the situations where it does.
@@ -93,15 +72,13 @@ def union_hom_failure(t):
     ``low`` is A's lowest atom; the first failure there is the pair
     (A−low, {low}).
     """
-
-    def faults():
-        for a in range(1, len(t)):
-            low = a & -a
-            joined = t[a ^ low] | t[low]
-            if t[a] != joined:
-                yield _pair(a ^ low, low), t[a] ^ joined
-
-    return _fault(faults(), t)
+    hit, within = None, 0
+    for a in range(1, len(t)):
+        low = a & -a
+        bad = t[a] ^ (t[a ^ low] | t[low])
+        if bad:
+            hit, within = hit or _pair(a ^ low, low), within | bad
+    return None if hit is None else (hit, within)
 
 
 def inter_hom_failure(t):
@@ -113,15 +90,13 @@ def inter_hom_failure(t):
     there is the pair (A+x, Θ−x), whose intersection is A.
     """
     full = len(t) - 1
-
-    def faults():
-        for a in range(full):
-            x = ~a & (a + 1)
-            met = t[a | x] & t[full ^ x]
-            if t[a] != met:
-                yield _pair(a | x, full ^ x), t[a] ^ met
-
-    return _fault(faults(), t)
+    hit, within = None, 0
+    for a in range(full):
+        x = ~a & (a + 1)
+        bad = t[a] ^ (t[a | x] & t[full ^ x])
+        if bad:
+            hit, within = hit or _pair(a | x, full ^ x), within | bad
+    return None if hit is None else (hit, within)
 
 
 def monotone_failure(t):
@@ -130,25 +105,14 @@ def monotone_failure(t):
 
     Monotonicity is exactly the intersection bound t(A∩B) ⊆ t(A) ∩ t(B) and
     the union bound t(A) ∪ t(B) ⊆ t(A∪B) over all pairs, and it holds iff
-    t(A−x) ⊆ t(A) for every A and every atom x of A; the first failure is at
-    the lowest A and its lowest such x.
+    ∪_{C⊆A} t(C) ⊆ t(A) for every A, an OR-zeta transform.  Below the lowest
+    A with some t(A−x) ⊄ t(A) the transform is t itself, so that A is the
+    first failure; the pair takes its lowest such atom x.
     """
-
-    def faults():
-        for a, ta in enumerate(t):
-            below = 0  # ∪ t(A−x) over the atoms x of A
-            rest = a
-            while rest:
-                x = rest & -rest
-                below |= t[a ^ x]
-                rest ^= x
-            if below & ~ta:
-                yield a, below & ~ta
-
-    fault = _fault(faults(), t)
-    if fault is None:
+    found = _packed_fault(lambda m, k, s: _or_zeta(s, m, k) & ~s, t)
+    if found is None:
         return None
-    a, within = fault
+    a, _, within = found
     low = next(1 << k for k in range(a.bit_length()) if a >> k & 1 and t[a ^ 1 << k] & ~t[a])
     return (a ^ low, a), within
 
@@ -156,21 +120,13 @@ def monotone_failure(t):
 def overlap_failure(t):
     """None when the images are pairwise disjoint, else the two lowest subsets
     whose images share the lowest situation counted twice, and every
-    situation counted twice.
-
-    Exact: the images are disjoint iff their popcounts add up to the popcount
-    of their union.
-    """
-    union = weight = 0
-    for cell in t:
-        union |= cell
-        weight += cell.bit_count()
-    if weight == union.bit_count():
-        return None
+    situation counted twice."""
     seen = twice = 0
     for cell in t:
         twice |= seen & cell
         seen |= cell
+    if not twice:
+        return None
     w = twice & -twice
     a, b = [k for k, cell in enumerate(t) if cell & w][:2]
     return (a, b), twice
@@ -217,20 +173,32 @@ def _first_bad(bad: int, size: int, low: int, k: int):
     return first // k, 1 << low + first % k, (union & (1 << k) - 1) << low
 
 
-def mixed_inter_failure(t):
+def _packed_fault(bad, *tables):
+    """``_first_bad`` of ``bad(m, k, *packed)``, the ``tables`` packed into
+    slots of k bits that hold the situations of them all."""
+    low, width = _layout(chain(*tables))
+    if low < 0:
+        return None
+    m, k = len(tables[0]).bit_length() - 1, 8 * width
+    found = bad(m, k, *(_pack(t, low, width) for t in tables))
+    return _first_bad(found, len(tables[0]), low, k)
+
+
+def mixed_inter_failure(t, misses):
     """None when t(A∩B) ∩ t(A∪B) ⊆ t(A) ∩ t(B) for every pair, else a pair
     where it fails and the situations where it does.
 
     Exact: per situation ω the subsets whose image holds ω must be
     order-convex, that is ∪_{C⊆A} t(C) ∩ ∪_{D⊇A} t(D) ⊆ t(A) for every A.
-    For the lowest failing A and its lowest bad ω, take the lowest C ⊆ A and
-    D ⊇ A whose images hold ω: the pair (A, C ∪ (D−A)) has meet C and join D.
+    That can fail only in ``misses``, the situations where the split form
+    fails (``split_form_misses(t)``), so only those are packed.  For the
+    lowest failing A and its lowest bad ω, take the lowest C ⊆ A and D ⊇ A
+    whose images hold ω: the pair (A, C ∪ (D−A)) has meet C and join D.
     """
-    low, width = _layout(t)
-    if low < 0:
-        return None
-    m, k, s = len(t).bit_length() - 1, 8 * width, _pack(t, low, width)
-    found = _first_bad(_or_zeta(s, m, k) & _or_zeta(s, m, k, up=True) & ~s, len(t), low, k)
+    found = _packed_fault(
+        lambda m, k, s: _or_zeta(s, m, k) & _or_zeta(s, m, k, up=True) & ~s,
+        [cell & misses for cell in t],
+    )
     if found is None:
         return None
     a, w, within = found
@@ -303,7 +271,7 @@ def _sublattice_failure(family: int, has: list) -> tuple[int, int] | None:
     # the last join gives target, which is no member, so this always returns
 
 
-def mixed_union_failure(t, misses=None):
+def mixed_union_failure(t, misses):
     """None when t(A∩B) ∪ t(A∪B) ⊆ t(A) ∪ t(B) for every pair, else a pair
     where it fails and the situations where the split form fails, which
     hold every situation where it does.
@@ -312,13 +280,11 @@ def mixed_union_failure(t, misses=None):
     under ∪ and ∩.  Only a situation where the split form fails can break
     that, so each of those, lowest first, has its subsets tested as one
     2^m-bit family by ``_sublattice_failure``.  ``misses`` is
-    ``split_form_misses(t)`` when the caller has it already.
+    ``split_form_misses(t)``.
     """
     size = len(t)
     everything = (1 << size) - 1
     has = list(_holding(size.bit_length() - 1, 1))  # the subsets holding atom x
-    if misses is None:
-        misses = split_form_misses(t)
     rest = misses
     while rest:
         w = _lowest(rest)
@@ -362,11 +328,7 @@ def compat_failure(amb, inc):
     Exact for any two tables: that holds iff ∪_{A⊆U} a(A) ⊆ i(U) ∪ a(U) for
     every U, and the left side is the OR-zeta transform of ``amb``.
     """
-    low, width = _layout(chain(amb, inc))
-    if low < 0:
-        return None
-    m, k, s = len(amb).bit_length() - 1, 8 * width, _pack(amb, low, width)
-    found = _first_bad(_or_zeta(s, m, k) & ~(_pack(inc, low, width) | s), len(amb), low, k)
+    found = _packed_fault(lambda m, k, a, i: _or_zeta(a, m, k) & ~(i | a), amb, inc)
     if found is None:
         return None
     u, w, within = found
@@ -407,11 +369,13 @@ def _holding(m: int, k: int):
         yield block
 
 
-@lru_cache(maxsize=4)
+@cache
 def _kept_holding(m: int, k: int) -> tuple:
     """``_holding``, kept for the frames up to ``SCAN_LIMIT`` atoms, whose
-    scans ask for it row by row.  Above that a check builds the masks at
-    most twice, and each is k·2^m bits, so they are not kept."""
+    checks and scans ask for it again and again.  Each key's masks take
+    m·k·2^m bits, at most 16 KB for n <= 64 situations.  Above that a check
+    builds the masks a few times, and each is k·2^m bits, so they are not
+    kept."""
     return tuple(_holding(m, k))
 
 

@@ -654,6 +654,13 @@ def test_each_command_takes_out_and_only_the_flags_it_reads(tmp_path, command):
             assert code == 0, flag
 
 
+def test_an_unknown_flag_is_reported_with_its_commands_usage(capsys):
+    assert run_command(["build", fx("fix1_assignment.json"), "--format", "json"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ambicalc build [-h] [--out FILE] file\n"), err
+    assert err.endswith("ambicalc build: error: unrecognized arguments: --format json\n"), err
+
+
 def test_python_m_ambicalc_runs_the_command_line(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["ambicalc", "check", fx("fix1_assignment.json")])
     with pytest.raises(SystemExit) as info:

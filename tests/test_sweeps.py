@@ -99,8 +99,8 @@ TABLE_SCANS = {
     "f3": (inter_hom_failure, first_inter_hom_violation, INTER_HOM),
     "f̄4": (monotone_failure, first_inter_bound_violation, INTER_BOUND),
     "f4": (monotone_failure, first_union_bound_violation, UNION_BOUND),
-    "a3.1": (mixed_union_failure, first_mixed_union_violation, MIXED_UNION),
-    "a3.2": (mixed_inter_failure, first_mixed_inter_violation, MIXED_INTER),
+    "a3.1": (lambda t: mixed_union_failure(t, split_form_misses(t)), first_mixed_union_violation, MIXED_UNION),
+    "a3.2": (lambda t: mixed_inter_failure(t, split_form_misses(t)), first_mixed_inter_violation, MIXED_INTER),
 }
 COMPAT_SCAN = (compat_failure, first_compat_violation, compat_violated)
 
@@ -167,8 +167,8 @@ def test_mixed_bound_tests_keep_the_verdicts_of_lifted_tables(big):
         for s in one_situation_tables(m):
             t = tuple(s[p] for p in projected)
             for test, scan, formula in (
-                (mixed_union_failure, first_mixed_union_violation, MIXED_UNION),
-                (mixed_inter_failure, first_mixed_inter_violation, MIXED_INTER),
+                (lambda t: mixed_union_failure(t, split_form_misses(t)), first_mixed_union_violation, MIXED_UNION),
+                (lambda t: mixed_inter_failure(t, split_form_misses(t)), first_mixed_inter_violation, MIXED_INTER),
             ):
                 hit = pair_of(test(t))
                 assert (hit is None) == (scan(s, len(s), None) is None), (test.__name__, s)
@@ -322,6 +322,69 @@ def test_family_scans_name_the_smallest_pair_on_seeded_faults(m, n):
             assert_same_witness(axiom, TABLE_SCANS[axiom], bad["inc"])
         assert_same_witness("compatibility", COMPAT_SCAN, gap, bad["inc"])
         assert_same_witness("compatibility", COMPAT_SCAN, bad["amb"], inc)
+
+
+def failing_situations(violated, n, *tables):
+    """The situations ω whose one-situation projection of ``tables`` fails
+    the reference walk: where the axiom fails."""
+    walk = ascending_walk(violated)
+    return sum(
+        1 << w for w in range(n) if walk(*([cell >> w & 1 for cell in t] for t in tables))
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_each_test_returns_every_situation_where_its_axiom_fails(m):
+    """What the cut before a scan relies on.  Seeded tables of every kind
+    with 2 to 6 situations, valid and with 1 to 3 flipped bits: a failing
+    test returns the situations where its axiom fails, and a3.1 those where
+    the split form fails, which hold them."""
+    rng = random.Random(f"situations/{m}")
+    for n in range(2, 7):
+        for flips in (0, 1, 2, 3):
+            cells, lower, upper = valid_tables(m, n, rng)
+            gap = [u & ~lo for lo, u in zip(lower, upper)]
+            inc = incidence_from_pointmap(
+                PointMap(tuple(rng.randrange(m) for _ in range(n))), *universes(m, n)
+            ).map.table
+            tables = [cells, lower, upper, gap, inc]
+            for k in range(len(tables)):
+                for _ in range(flips):
+                    tables[k] = flip(tables[k], n, rng)
+            cases = [
+                (axiom, test, formula, (t,))
+                for axiom, (test, _, formula) in TABLE_SCANS.items()
+                for t in tables
+            ]
+            cases += [("j3", overlap_failure, OVERLAP, (t,)) for t in tables]
+            cases += [
+                ("compatibility", compat_failure, compat_violated, pair)
+                for pair in ((tables[3], inc), (gap, tables[4]))
+            ]
+            for axiom, test, formula, args in cases:
+                fault = test(*args)
+                expected = failing_situations(formula, n, *args)
+                assert (fault is None) == (expected == 0), (axiom, args)
+                if fault is None:
+                    continue
+                if axiom == "a3.1":
+                    assert fault[1] == split_form_misses(*args), args
+                    assert fault[1] & expected == expected, args
+                else:
+                    assert fault[1] == expected, (axiom, args)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_monotone_failure_names_the_lowest_local_failure(m):
+    """The pair (A−x, A) at the lowest A with some t(A−x) ⊄ t(A), x its
+    lowest such atom: the f̄4/f4 witness reported above eight atoms."""
+    atoms = [1 << k for k in range(m)]
+    for t in one_situation_tables(m):
+        expected = next(
+            ((a ^ x, a) for a in range(len(t)) for x in atoms if a & x and t[a ^ x] & ~t[a]),
+            None,
+        )
+        assert pair_of(monotone_failure(t)) == expected, t
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
