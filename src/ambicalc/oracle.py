@@ -1,10 +1,14 @@
 """Independent brute-force re-checker for every axiom family.
 
 This module is the second opinion: it re-derives every verdict from the
-defining formulas using frozensets of element indices, full enumeration, and
-its own complement/union code.  Do not import set-algebra helpers from the
-optimized modules here; only the typed containers and the report classes are
-shared, so the two code paths stay comparable but never share a computation.
+defining formulas by full enumeration over the raw situation masks of the
+tables, with its own subset, complement and union code: B ⊆ A is
+``b & ~a == 0`` and the complement of X in the space is ``omega ^ X``.  Its
+independence is the formulas and the enumeration, which the optimized
+checkers' local tests and subset transforms do not share.  Do not import
+set-algebra helpers from the optimized modules here; only the typed
+containers and the report classes are shared, so the two code paths stay
+comparable but never share a computation.
 
 Each axiom is one row: its name, a lazy ``next(..., None)`` search for the
 first subset A, or pair A <= B, where the formula fails, and its witness
@@ -17,7 +21,8 @@ lexicographically smallest violating ordered pair.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import reduce
+from operator import or_
 
 from .ambiguity import AmbiguityMap
 from .incidence import IncidenceMap
@@ -25,34 +30,10 @@ from .interval import BasicAssignment, IntervalStructure, SetValuedMap
 from .reports import AxiomReport, Verdict, Witness
 
 
-def _members(mask: int, width: int) -> frozenset[int]:
-    return frozenset(k for k in range(width) if mask >> k & 1)
-
-
-@cache
-def _subsets(width: int) -> tuple[frozenset[int], ...]:
-    """Every subset of a ``width``-atom frame as a frozenset, in mask order."""
-    return tuple(_members(mask, width) for mask in range(1 << width))
-
-
-def _mask(members: frozenset[int]) -> int:
-    total = 0
-    for k in members:
-        total += 1 << k
-    return total
-
-
-def _sets(m: SetValuedMap) -> list[frozenset[int]]:
-    width = m.space.size
-    members = {entry: _members(entry, width) for entry in set(m.table)}
-    return [members[entry] for entry in m.table]
-
-
 def _describe(frame, mask: int) -> str:
-    members = _members(mask, frame.size)
-    if not members:
+    if not mask:
         return "∅"
-    return "{" + ",".join(frame.names[k] for k in sorted(members)) + "}"
+    return "{" + ",".join(name for k, name in enumerate(frame.names) if mask >> k & 1) + "}"
 
 
 def _verdict(axiom: str, frame, hit, text: str) -> Verdict:
@@ -67,11 +48,16 @@ def _verdict(axiom: str, frame, hit, text: str) -> Verdict:
     return Verdict(axiom, False, Witness(subset_a=a, subset_b=b, detail=f"{named}: {text}"))
 
 
+def _omega(m: SetValuedMap) -> int:
+    """Mask of the whole situation space of ``m``."""
+    return (1 << m.space.size) - 1
+
+
 def _structure_verdicts(s: IntervalStructure) -> list[Verdict]:
     frame = s.lower.frame
-    omega = frozenset(range(s.lower.space.size))
-    lo = _sets(s.lower)
-    up = _sets(s.upper)
+    omega = _omega(s.lower)
+    lo = s.lower.table
+    up = s.upper.table
     size = len(lo)
     full = size - 1
     rows = [
@@ -81,9 +67,9 @@ def _structure_verdicts(s: IntervalStructure) -> list[Verdict]:
                      if up[a | b] != up[a] | up[b]), None),
          "union image differs from image union"),
         ("f̄4", next(((a, b) for a in range(size) for b in range(a, size)
-                     if not up[a & b] <= up[a] & up[b]), None),
+                     if up[a & b] & ~(up[a] & up[b])), None),
          "intersection image exceeds the bound"),
-        ("duality", next((a for a in range(size) if lo[a] != omega - up[full ^ a]), None),
+        ("duality", next((a for a in range(size) if lo[a] != omega ^ up[full ^ a]), None),
          "lower image is not the complement of the upper ¬A image"),
         ("f1", 0 if lo[0] else None, "lower image of ∅ is nonempty"),
         ("f2", None if lo[full] == omega else full, "lower image of Θ is not the whole space"),
@@ -91,9 +77,9 @@ def _structure_verdicts(s: IntervalStructure) -> list[Verdict]:
                     if lo[a & b] != lo[a] & lo[b]), None),
          "intersection image differs from image intersection"),
         ("f4", next(((a, b) for a in range(size) for b in range(a, size)
-                    if not lo[a] | lo[b] <= lo[a | b]), None),
+                    if (lo[a] | lo[b]) & ~lo[a | b]), None),
          "image union exceeds the union image"),
-        ("sandwich", next((a for a in range(size) if not lo[a] <= up[a]), None),
+        ("sandwich", next((a for a in range(size) if lo[a] & ~up[a]), None),
          "lower image exceeds upper image"),
     ]
     return [_verdict(axiom, frame, hit, text) for axiom, hit, text in rows]
@@ -102,12 +88,12 @@ def _structure_verdicts(s: IntervalStructure) -> list[Verdict]:
 def _assignment_verdicts(j: BasicAssignment) -> list[Verdict]:
     frame = j.map.frame
     space = j.map.space
-    cells = _sets(j.map)
+    cells = j.map.table
     size = len(cells)
-    uncovered = frozenset(range(space.size)) - frozenset().union(*cells)
+    uncovered = _omega(j.map) ^ reduce(or_, cells)
     coverage = Verdict("j2", True)
     if uncovered:
-        w = min(uncovered)
+        w = (uncovered & -uncovered).bit_length() - 1
         coverage = Verdict(
             "j2", False, Witness(situation=w, detail=f"situation {space.names[w]} lies in no cell")
         )
@@ -121,7 +107,7 @@ def _assignment_verdicts(j: BasicAssignment) -> list[Verdict]:
 
 def _ambiguity_verdicts(amb: AmbiguityMap) -> list[Verdict]:
     frame = amb.map.frame
-    t = _sets(amb.map)
+    t = amb.map.table
     size = len(t)
     full = size - 1
     rows = [
@@ -129,10 +115,10 @@ def _ambiguity_verdicts(amb: AmbiguityMap) -> list[Verdict]:
         ("a2", next((a for a in range(size) if t[a] != t[full ^ a]), None),
          "image differs from the ¬A image"),
         ("a3.1", next(((a, b) for a in range(size) for b in range(a, size)
-                       if not t[a & b] | t[a | b] <= t[a] | t[b]), None),
+                       if (t[a & b] | t[a | b]) & ~(t[a] | t[b])), None),
          "mixed union bound fails"),
         ("a3.2", next(((a, b) for a in range(size) for b in range(a, size)
-                       if not t[a & b] & t[a | b] <= t[a] & t[b]), None),
+                       if t[a & b] & t[a | b] & ~(t[a] & t[b])), None),
          "mixed intersection bound fails"),
         ("a4", full if t[full] else None, "image of Θ is nonempty"),
     ]
@@ -141,8 +127,8 @@ def _ambiguity_verdicts(amb: AmbiguityMap) -> list[Verdict]:
 
 def _incidence_verdicts(inc: IncidenceMap) -> list[Verdict]:
     frame = inc.map.frame
-    omega = frozenset(range(inc.map.space.size))
-    t = _sets(inc.map)
+    omega = _omega(inc.map)
+    t = inc.map.table
     size = len(t)
     full = size - 1
     rows = [
@@ -151,7 +137,7 @@ def _incidence_verdicts(inc: IncidenceMap) -> list[Verdict]:
         ("i3", next(((a, b) for a in range(size) for b in range(a, size)
                      if t[a | b] != t[a] | t[b]), None),
          "union image differs from image union"),
-        ("i4", next((a for a in range(size) if omega - t[a] != t[full ^ a]), None),
+        ("i4", next((a for a in range(size) if omega ^ t[a] != t[full ^ a]), None),
          "complement of image differs from ¬A image"),
         ("i3'", next(((a, b) for a in range(size) for b in range(a, size)
                       if t[a & b] != t[a] & t[b]), None),
@@ -175,48 +161,25 @@ def oracle_verify(obj) -> AxiomReport:
 
 def oracle_lower_table(j: BasicAssignment) -> tuple[int, ...]:
     """lower(A) as the union of cells over all subsets, by full enumeration."""
-    cells = _sets(j.map)
-    subsets = _subsets(j.map.frame.size)
-    out = []
-    for a_set in subsets:
-        acc = frozenset()
-        for b, b_set in enumerate(subsets):
-            if b_set <= a_set:
-                acc = acc | cells[b]
-        out.append(_mask(acc))
-    return tuple(out)
+    cells = j.map.table
+    return tuple(reduce(or_, (c for b, c in enumerate(cells) if b & ~a == 0), 0)
+                 for a in range(len(cells)))
 
 
 def oracle_upper_table(j: BasicAssignment) -> tuple[int, ...]:
     """upper(A) as the union of cells meeting A, by full enumeration."""
-    cells = _sets(j.map)
-    subsets = _subsets(j.map.frame.size)
-    out = []
-    for a_set in subsets:
-        acc = frozenset()
-        for b, b_set in enumerate(subsets):
-            if not b_set.isdisjoint(a_set):
-                acc = acc | cells[b]
-        out.append(_mask(acc))
-    return tuple(out)
+    cells = j.map.table
+    return tuple(reduce(or_, (c for b, c in enumerate(cells) if b & a), 0)
+                 for a in range(len(cells)))
 
 
 def oracle_extract_table(s: IntervalStructure) -> tuple[int, ...]:
     """Cells as lower(A) minus every strict-subset lower image, enumerated."""
-    lower = _sets(s.lower)
-    subsets = _subsets(s.lower.frame.size)
-    out = []
-    for a, a_set in enumerate(subsets):
-        acc = frozenset()
-        for b, b_set in enumerate(subsets):
-            if b_set < a_set:
-                acc = acc | lower[b]
-        out.append(_mask(lower[a] - acc))
-    return tuple(out)
+    lower = s.lower.table
+    return tuple(lo & ~reduce(or_, (c for b, c in enumerate(lower) if b != a and b & ~a == 0), 0)
+                 for a, lo in enumerate(lower))
 
 
 def oracle_ambiguity_table(s: IntervalStructure) -> tuple[int, ...]:
-    """Gap upper(A) minus lower(A), set difference on frozensets."""
-    lower = _sets(s.lower)
-    upper = _sets(s.upper)
-    return tuple(_mask(u - lo) for lo, u in zip(lower, upper))
+    """Gap upper(A) minus lower(A), set difference on the masks."""
+    return tuple(u & ~lo for lo, u in zip(s.lower.table, s.upper.table))

@@ -1,9 +1,17 @@
 """The oracle's pair loops walk each unordered pair once; a full ordered grid
-must give the same verdicts and witness texts."""
+must give the same verdicts and witness texts.  The oracle imports nothing
+from the package but the typed containers and the report classes."""
 
+import ast
+import inspect
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+import ambicalc.oracle
+import ambicalc.reports
 
 from ambicalc import (
     AmbiguityMap,
@@ -140,3 +148,26 @@ def test_the_oracle_checks_set_valued_objects_only():
     p = ProbabilityAssignment.from_integers(SituationSpace(("w1",)), [1])
     with pytest.raises(TypeError, match="^no oracle for ProbabilityAssignment$"):
         oracle_verify(p)
+
+
+def test_the_oracle_imports_only_containers_and_report_classes():
+    """With ints on both sides, a helper shared with the main path would be
+    easy to slip in; the import list keeps the two paths apart."""
+    allowed = {"AmbiguityMap", "IncidenceMap", "BasicAssignment", "IntervalStructure",
+               "SetValuedMap"}
+    allowed |= {name for name, obj in vars(ambicalc.reports).items()
+                if inspect.isclass(obj) and obj.__module__ == "ambicalc.reports"}
+    stdlib, package, names = set(), set(), set()
+    tree = ast.parse(Path(ambicalc.oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            stdlib |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module)
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            stdlib.add(node.module.split(".")[0])
+    # nothing from sweeps, numeric or frames, and no absolute ambicalc import
+    assert package == {"ambiguity", "incidence", "interval", "reports"}
+    assert names <= allowed, names - allowed
+    assert stdlib <= sys.stdlib_module_names, stdlib - sys.stdlib_module_names
