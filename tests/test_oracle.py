@@ -12,7 +12,6 @@ import pytest
 
 import ambicalc.oracle
 import ambicalc.reports
-
 from ambicalc import (
     AmbiguityMap,
     BasicAssignment,
