@@ -26,6 +26,7 @@ from .interval import BasicAssignment, IntervalStructure, SetValuedMap
 from .numeric import (
     MassFunction,
     ProbabilityAssignment,
+    as_numerators,
     parse_rational,
     render_rational,
 )
@@ -190,7 +191,7 @@ def load_object(raw: dict):
         for sit in body:
             if sit not in space.names:
                 raise SchemaError(f"unknown situation name: {sit!r}")
-        return cls(space, tuple(weights))
+        return cls(space, *as_numerators(weights))
     if kind == "mass":
         masses = {}
         for key, value in body.items():
@@ -199,7 +200,8 @@ def load_object(raw: dict):
                 masses[mask] = parse_rational(value)
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc
-        return cls.from_dict(frame, masses)
+        numerators, den = as_numerators(masses.values())
+        return cls(frame, tuple(zip(masses, numerators)), den)
     return cls(_parse_map_body(body, frame, space))
 
 

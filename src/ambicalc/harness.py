@@ -270,8 +270,10 @@ def _evaluate_standard(cfg: GenConfig, sub: GenConfig, trial: int, j: BasicAssig
         identity = check_belief_identity(beliefs, mass)
         _, prob2, _, s2 = structure_from_mass(mass)
         beliefs2 = belief_from_structure(s2, prob2)
-        outcomes["belief-bridge"] = (
-            identity.ok and beliefs2.bel == beliefs.bel and beliefs2.pl == beliefs.pl
+        # both reports are in lowest terms: equal values, equal integers
+        outcomes["belief-bridge"] = identity.ok and (
+            (beliefs2.denominator, beliefs2.bel_num, beliefs2.pl_num)
+            == (beliefs.denominator, beliefs.bel_num, beliefs.pl_num)
         )
         outcomes["alpha-axioms"] = fishburn_report(beliefs).ok
         outcomes["oracle-agreement"] = agree

@@ -138,6 +138,36 @@ def test_probability_omits_zero_weights():
     assert document_for(p)["body"] == {"w2": "1"}
 
 
+@pytest.mark.parametrize(
+    "kind, names, variant, canonical",
+    [
+        ("probability", ["w1", "w2"], {"w1": "2/4", "w2": "1/2"}, {"w1": "1/2", "w2": "1/2"}),
+        ("probability", ["w1", "w2"], {"w1": "01/2", "w2": "1/2"}, {"w1": "1/2", "w2": "1/2"}),
+        ("probability", ["w1", "w2"], {"w1": "-0", "w2": "1"}, {"w2": "1"}),
+        ("probability", ["w1", "w2"], {"w1": 0, "w2": 1}, {"w2": "1"}),
+        ("probability", ["w1", "w2"], {"w1": "0", "w2": "1"}, {"w2": "1"}),
+        ("probability", ["w1", "w2", "w3"], {"w1": "2/6", "w2": "02/3", "w3": "0"},
+         {"w1": "1/3", "w2": "2/3"}),
+        ("mass", ["x", "y"], {"x": "1/2", "y": "2/4"}, {"x": "1/2", "y": "1/2"}),
+        ("mass", ["x", "y"], {"x": "01/2", "x,y": "1/2"}, {"x": "1/2", "x,y": "1/2"}),
+        ("mass", ["x", "y"], {"x,y": 1}, {"x,y": "1"}),
+    ],
+)
+def test_non_canonical_spellings_load_to_the_canonical_integers(kind, names, variant, canonical):
+    """The loader keeps accepting these spellings: each loads to the numerators
+    and denominator of its canonical spelling, and renders canonically."""
+    field = "situations" if kind == "probability" else "atoms"
+
+    def load(body):
+        return loads(json.dumps({"kind": kind, field: names, "body": body}))[1]
+
+    obj, canon = load(variant), load(canonical)
+    assert (obj.numerators, obj.denominator) == (canon.numerators, canon.denominator)
+    assert obj == canon
+    assert document_for(obj)["body"] == canonical
+    assert dumps(obj) == dumps(canon)
+
+
 def test_mass_validation_via_document():
     with pytest.raises(ValidationError):
         loads(json.dumps({"kind": "mass", "atoms": ["x"], "body": {"": "1"}}))

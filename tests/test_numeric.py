@@ -1,14 +1,17 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
 from ambicalc import (
+    BasicAssignment,
     BeliefReport,
     Frame,
     FrameMismatch,
     MassFunction,
     ProbabilityAssignment,
+    SetValuedMap,
     SituationSpace,
     SpaceMismatch,
     ValidationError,
@@ -22,8 +25,16 @@ from ambicalc import (
     structure_from_mass,
 )
 from ambicalc.harness import GenConfig, gen_assignment, gen_probability
+from ambicalc.numeric import as_numerators
 
 THIRD = Fraction(1, 3)
+
+
+def report_of(frame, bel, pl, alpha):
+    """A ``BeliefReport`` of Fraction tables, over their least common denominator."""
+    nums, den = as_numerators([*bel, *pl, *alpha])
+    size = len(bel)
+    return BeliefReport(frame, nums[:size], nums[size : 2 * size], nums[2 * size :], den)
 
 
 def test_parse_and_render_rational():
@@ -40,17 +51,19 @@ def test_parse_and_render_rational():
 
 def test_probability_validation():
     sp = SituationSpace(("w1", "w2"))
-    p = ProbabilityAssignment(sp, (THIRD, Fraction(2, 3)))
+    p = ProbabilityAssignment(sp, (1, 2), 3)
     assert p.of(0b01) == THIRD
     assert p.of(0b11) == 1
+    with pytest.raises(ValidationError, match="^weights sum to 2/3, not 1$"):
+        ProbabilityAssignment(sp, (1, 1), 3)
+    with pytest.raises(ValidationError, match="^weight of w1 is negative$"):
+        ProbabilityAssignment(sp, (-1, 4), 3)
     with pytest.raises(ValidationError):
-        ProbabilityAssignment(sp, (THIRD, THIRD))  # does not sum to one
+        ProbabilityAssignment(sp, (0.5, 0.5), 1)  # floats are not exact
     with pytest.raises(ValidationError):
-        ProbabilityAssignment(sp, (Fraction(-1, 3), Fraction(4, 3)))
-    with pytest.raises(ValidationError):
-        ProbabilityAssignment(sp, (0.5, 0.5))  # floats are not exact
-    with pytest.raises(ValidationError):
-        ProbabilityAssignment(sp, (Fraction(1),))  # wrong arity
+        ProbabilityAssignment(sp, (1,), 1)  # wrong arity
+    with pytest.raises(ValidationError, match="^the denominator must be a positive integer$"):
+        ProbabilityAssignment(sp, (0, 0), 0)
 
 
 def test_probability_from_integers():
@@ -61,15 +74,15 @@ def test_probability_from_integers():
 
 def test_mass_validation():
     fr = Frame(("x", "y"))
-    mass = MassFunction.from_dict(fr, {1: THIRD, 2: THIRD, 3: THIRD})
+    mass = MassFunction(fr, {3: 1, 1: 1, 2: 1}, 3)
     assert mass.focal_masks() == (1, 2, 3)
     assert dict(mass.masses)[3] == THIRD
-    with pytest.raises(ValidationError):
-        MassFunction.from_dict(fr, {0: Fraction(1)})  # mass on the empty set
-    with pytest.raises(ValidationError):
-        MassFunction.from_dict(fr, {1: Fraction(0), 3: Fraction(1)})
-    with pytest.raises(ValidationError):
-        MassFunction.from_dict(fr, {1: THIRD})  # does not sum to one
+    with pytest.raises(ValidationError, match="^the empty set cannot carry mass$"):
+        MassFunction(fr, {0: 1}, 1)
+    with pytest.raises(ValidationError, match="^mass of {x} must be a positive rational$"):
+        MassFunction(fr, {1: 0, 3: 1}, 1)
+    with pytest.raises(ValidationError, match="^masses sum to 1/3, not 1$"):
+        MassFunction(fr, {1: 1}, 3)
 
 
 def test_fix1_belief_values(fix1):
@@ -96,7 +109,7 @@ def test_zero_weight_cells_are_dropped(fix1):
 
 def test_identity_failure_witness(fix1):
     rep = belief_from_structure(fix1["s"], fix1["p"])
-    vacuous_mass = MassFunction.from_dict(fix1["frame"], {3: Fraction(1)})
+    vacuous_mass = MassFunction(fix1["frame"], {3: 1}, 1)
     out = check_belief_identity(rep, vacuous_mass)
     v = out.find("bel-mass-identity")
     assert not v.ok
@@ -105,21 +118,16 @@ def test_identity_failure_witness(fix1):
 
 def test_belief_report_validation():
     fr = Frame(("x",))
-    ok = BeliefReport(fr, (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
+    ok = BeliefReport(fr, (0, 1), (0, 1), (0, 0), 1)
     assert ok.alpha == (0, 0)
-    with pytest.raises(ValidationError):
-        BeliefReport(fr, (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
-    with pytest.raises(ValidationError):
-        BeliefReport(fr, (Fraction(1, 2), Fraction(1)), (Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(0)))
+    with pytest.raises(ValidationError, match="^α must equal Pl − Bel at {x}$"):
+        BeliefReport(fr, (0, 1), (0, 1), (0, 1), 1)
+    with pytest.raises(ValidationError, match="^Bel\\(∅\\) and Pl\\(∅\\) must be 0$"):
+        BeliefReport(fr, (1, 2), (1, 2), (0, 0), 2)
     fr2 = Frame(("x", "y"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^need 0 ≤ Bel ≤ Pl ≤ 1 at {x}$"):
         # Bel exceeds Pl on {x}
-        BeliefReport(
-            fr2,
-            (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)),
-            (Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(0)),
-        )
+        BeliefReport(fr2, (0, 2, 0, 4), (0, 1, 2, 4), (0, -1, 2, 0), 4)
 
 
 def test_space_mismatch(fix1):
@@ -133,6 +141,7 @@ def test_structure_from_mass_roundtrip(fix1):
     space, prob, j, s = structure_from_mass(mass)
     assert space.names == ("w_x", "w_y", "w_x,y")
     assert prob.weights == (THIRD, THIRD, THIRD)
+    assert (prob.numerators, prob.denominator) == ((1, 1, 1), 3)
     assert j.focal_masks() == (1, 2, 3)
     rep = belief_from_structure(s, prob)
     original = belief_from_structure(fix1["s"], fix1["p"])
@@ -150,12 +159,11 @@ def test_fishburn_fix1(fix1):
 
 def test_fishburn_submodularity_violation():
     fr = Frame(("x", "y", "z"))
-    zero = Fraction(0)
-    half = Fraction(1, 2)
-    bel = tuple(zero for _ in range(7)) + (Fraction(1),)
-    pl = (zero, zero, zero, half, half, zero, zero, Fraction(1))
-    alpha = (zero, zero, zero, half, half, zero, zero, zero)
-    rep = BeliefReport(fr, bel, pl, alpha)
+    # over the denominator 2: α is 1/2 on {x,y} and {z}
+    bel = (0,) * 7 + (2,)
+    pl = (0, 0, 0, 1, 1, 0, 0, 2)
+    alpha = (0, 0, 0, 1, 1, 0, 0, 0)
+    rep = BeliefReport(fr, bel, pl, alpha, 2)
     out = fishburn_report(rep)
     assert out.find("α1").ok
     assert out.find("α2").ok
@@ -166,11 +174,7 @@ def test_fishburn_submodularity_violation():
 
 def test_fishburn_symmetry_violation():
     fr = Frame(("x", "y"))
-    zero = Fraction(0)
-    bel = (zero, zero, zero, Fraction(1))
-    pl = (zero, Fraction(1), zero, Fraction(1))
-    alpha = (zero, Fraction(1), zero, zero)
-    out = fishburn_report(BeliefReport(fr, bel, pl, alpha))
+    out = fishburn_report(BeliefReport(fr, (0, 0, 0, 1), (0, 1, 0, 1), (0, 1, 0, 0), 1))
     assert not out.find("α2").ok
     assert out.find("α2").witness.subset_a == 1
 
@@ -220,7 +224,7 @@ def test_perturbed_report_fails_where_the_fraction_sums_fail():
         bel, alpha = list(rep.bel), list(rep.alpha)
         bel[a] += eps
         alpha[a] -= eps
-        bad = BeliefReport(rep.frame, tuple(bel), rep.pl, tuple(alpha))
+        bad = report_of(rep.frame, bel, rep.pl, alpha)
         out = check_belief_identity(bad, mass)
         naive = _naive_identity_verdicts(bad, mass)
         assert set(naive) == {"bel-mass-identity", "pl-complement"}
@@ -235,10 +239,10 @@ def test_perturbed_report_fails_where_the_fraction_sums_fail():
 
 def test_from_mass_refuses_more_focal_elements_than_the_situation_cap():
     fr = Frame(tuple(f"x{k}" for k in range(7)))
-    mass = MassFunction.from_dict(fr, {mask: Fraction(1, 70) for mask in range(1, 71)})
+    mass = MassFunction(fr, dict.fromkeys(range(1, 71), 1), 70)
     with pytest.raises(ValidationError, match="70 focal elements.*cap is 64"):
         structure_from_mass(mass)
-    at_cap = MassFunction.from_dict(fr, {mask: Fraction(1, 64) for mask in range(1, 65)})
+    at_cap = MassFunction(fr, dict.fromkeys(range(1, 65), 1), 64)
     space, prob, _, s = structure_from_mass(at_cap)
     assert space.n == SituationSpace.MAX_SITUATIONS
     assert check_belief_identity(belief_from_structure(s, prob), at_cap).ok
@@ -246,9 +250,10 @@ def test_from_mass_refuses_more_focal_elements_than_the_situation_cap():
 
 def test_probability_keeps_integer_numerators_over_one_denominator():
     sp = SituationSpace(("w1", "w2", "w3"))
-    p = ProbabilityAssignment(sp, (Fraction(1, 6), Fraction(0), Fraction(5, 6)))
+    p = ProbabilityAssignment(sp, (2, 0, 10), 12)  # kept in lowest terms
     assert p.denominator == 6
     assert p.numerators == (1, 0, 5)
+    assert p.weights == (Fraction(1, 6), 0, Fraction(5, 6))
     for mask in range(8):
         assert Fraction(p._scaled_of(mask), p.denominator) == p.of(mask)
     # more than eight situations: one lookup table per chunk of eight
@@ -260,7 +265,8 @@ def test_probability_keeps_integer_numerators_over_one_denominator():
 
 
 def test_probability_keeps_its_weights_as_a_tuple():
-    p = ProbabilityAssignment(SituationSpace(("w1", "w2")), [Fraction(1, 2), Fraction(1, 2)])
+    p = ProbabilityAssignment(SituationSpace(("w1", "w2")), [1, 1], 2)
+    assert p.numerators == (1, 1)
     assert p.weights == (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -269,15 +275,56 @@ def test_the_bridge_needs_one_space_and_one_frame(fix1):
     with pytest.raises(SpaceMismatch, match="^structure and probability use different spaces$"):
         mass_from_structure(fix1["s"], other)
     beliefs = belief_from_structure(fix1["s"], fix1["p"])
-    mass = MassFunction.from_dict(Frame(("p", "q")), {0b11: Fraction(1)})
+    mass = MassFunction(Frame(("p", "q")), {0b11: 1}, 1)
     with pytest.raises(FrameMismatch, match="^report and mass function use different frames$"):
         check_belief_identity(beliefs, mass)
 
 
 def test_belief_report_rows_outside_the_subset_loop():
     fr = Frame(("x",))
-    zero, half = Fraction(0), Fraction(1, 2)
     with pytest.raises(ValidationError, match="^tables must cover every subset of the frame$"):
-        BeliefReport(fr, (zero,), (zero,), (zero,))
+        BeliefReport(fr, (0,), (0,), (0,), 1)
     with pytest.raises(ValidationError, match="^Bel\\(Θ\\) and Pl\\(Θ\\) must be 1$"):
-        BeliefReport(fr, (zero, half), (zero, half), (zero, zero))
+        BeliefReport(fr, (0, 1), (0, 1), (0, 0), 2)
+    with pytest.raises(ValidationError, match="^the denominator must be a positive integer$"):
+        BeliefReport(fr, (0, 0), (0, 0), (0, 0), 0)
+
+
+def test_tables_are_kept_in_lowest_terms_so_equal_values_have_equal_integers():
+    fr = Frame(("x", "y"))
+    sp = SituationSpace(("w1", "w2", "w3"))
+    j = BasicAssignment(SetValuedMap(fr, sp, (0, 0b011, 0b100, 0)))
+    s = structure_from_assignment(j)
+    p = ProbabilityAssignment.from_integers(sp, [1, 1, 2])
+    assert (p.numerators, p.denominator) == ((1, 1, 2), 4)
+    rep = belief_from_structure(s, p)
+    # every cell carries 2/4: the tables reduce to the denominator 2
+    assert (rep.bel_num, rep.pl_num, rep.alpha_num, rep.denominator) == (
+        (0, 1, 1, 2), (0, 1, 1, 2), (0, 0, 0, 0), 2
+    )
+    mass = mass_from_structure(s, p)
+    assert (mass.numerators, mass.denominator) == (((1, 1), (2, 1)), 2)
+    _, prob2, _, s2 = structure_from_mass(mass)
+    rep2 = belief_from_structure(s2, prob2)
+    assert (rep2.denominator, rep2.bel_num, rep2.pl_num) == (
+        rep.denominator, rep.bel_num, rep.pl_num
+    )
+    assert MassFunction(fr, {1: 3, 2: 3}, 6) == mass
+    assert BeliefReport(fr, (0, 2, 2, 4), (0, 2, 2, 4), (0, 0, 0, 0), 4) == rep
+
+
+def test_views_build_each_distinct_value_once(fix1):
+    rep = belief_from_structure(fix1["s"], fix1["p"])
+    assert rep.bel == (0, THIRD, THIRD, 1)
+    assert rep.bel is rep.bel  # cached
+    assert rep.bel[1] is rep.alpha[1]
+    assert rep.bel[0] is rep.pl[0] is rep.alpha[3]
+    p = fix1["p"]
+    assert p.weights[0] is p.weights[1] is p.weights[2]
+
+
+def test_the_bridge_builds_no_fraction():
+    """Fractions come only from the views, the texts, parsing and rendering."""
+    for func in (belief_from_structure, mass_from_structure, check_belief_identity,
+                 structure_from_mass, fishburn_report):
+        assert "Fraction(" not in inspect.getsource(func), func.__name__

@@ -215,7 +215,7 @@ def test_selected_incidence_is_sandwiched(j, seed):
 def test_mass_weights_are_cell_probabilities(j):
     s = structure_from_assignment(j)
     n = j.space.n
-    p = ProbabilityAssignment(j.space, tuple(Fraction(1, n) for _ in range(n)))
+    p = ProbabilityAssignment.from_integers(j.space, [1] * n)
     mass = mass_from_structure(s, p)
     for mask, value in mass.masses:
         assert value == Fraction(j.map.table[mask].bit_count(), n)

@@ -15,6 +15,7 @@ prints the digests of the program on the path.
 
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -79,6 +80,15 @@ def nudged(values, flips, rng):
     for _ in range(flips):
         out[rng.randrange(len(out))] += Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 7)))
     return tuple(out)
+
+
+def stand_in(frame, **tables):
+    """A report stand-in: each Fraction table as ``<name>_num`` integers over
+    the tables' least common ``denominator``."""
+    den = math.lcm(*(v.denominator for table in tables.values() for v in table))
+    scaled = {f"{name}_num": tuple(v.numerator * (den // v.denominator) for v in table)
+              for name, table in tables.items()}
+    return SimpleNamespace(frame=frame, denominator=den, **scaled)
 
 
 def tables(m, n, rng):
@@ -146,9 +156,9 @@ def entries(m):
                 yield label + "/incidence", check_incidence_axioms(inc)
                 yield label + "/sandwich", check_sandwich(structure, incidence)
                 yield label + "/compatibility", check_compatibility(incidence, ambiguity)
-                yield label + "/fishburn", fishburn_report(SimpleNamespace(frame=fr, alpha=alpha))
-                perturbed = SimpleNamespace(
-                    frame=fr,
+                yield label + "/fishburn", fishburn_report(stand_in(fr, alpha=alpha))
+                perturbed = stand_in(
+                    fr,
                     bel=nudged(beliefs.bel, flips, rng),
                     pl=nudged(beliefs.pl, flips, rng),
                 )
