@@ -19,9 +19,10 @@ are distinct).  The pair axioms are symmetric, so the first hit is the
 lexicographically smallest violating ordered pair.
 
 The cell rows (the lower and upper table oracles and j3) enumerate only the
-cells whose image is nonempty.  An empty cell adds nothing to a union and
-overlaps nothing, so the formulas, the scan order and the first witness are
-those of the walk over all 2^m cells.
+cells whose image is nonempty, and the extract table only the nonempty lower
+images.  An empty image adds nothing to a union and overlaps nothing, so the
+formulas, the scan order and the first witness are those of the walk over
+all 2^m subsets.
 """
 
 from __future__ import annotations
@@ -90,16 +91,16 @@ def _structure_verdicts(s: IntervalStructure) -> list[Verdict]:
     return [_verdict(axiom, frame, hit, text) for axiom, hit, text in rows]
 
 
-def _nonempty_cells(j: BasicAssignment) -> list[tuple[int, int]]:
-    """(B, cell of B) for every B whose cell is nonempty."""
-    return [(b, c) for b, c in enumerate(j.map.table) if c]
+def _nonempty(table) -> list[tuple[int, int]]:
+    """(B, image of B) for every B whose image in ``table`` is nonempty."""
+    return [(b, c) for b, c in enumerate(table) if c]
 
 
 def _assignment_verdicts(j: BasicAssignment) -> list[Verdict]:
     frame = j.map.frame
     space = j.map.space
     cells = j.map.table
-    occupied = _nonempty_cells(j)
+    occupied = _nonempty(cells)
     overlap = next(((a, b) for k, (a, ca) in enumerate(occupied) for b, cb in occupied[k + 1:]
                     if ca & cb), None)
     uncovered = _omega(j.map) ^ reduce(or_, cells)
@@ -172,14 +173,14 @@ def oracle_verify(obj) -> AxiomReport:
 
 def oracle_lower_table(j: BasicAssignment) -> tuple[int, ...]:
     """lower(A) as the union of the nonempty cells of subsets of A, enumerated."""
-    cells = _nonempty_cells(j)
+    cells = _nonempty(j.map.table)
     return tuple(reduce(or_, (c for b, c in cells if b & ~a == 0), 0)
                  for a in range(len(j.map.table)))
 
 
 def oracle_upper_table(j: BasicAssignment) -> tuple[int, ...]:
     """upper(A) as the union of the nonempty cells meeting A, enumerated."""
-    cells = _nonempty_cells(j)
+    cells = _nonempty(j.map.table)
     return tuple(reduce(or_, (c for b, c in cells if b & a), 0)
                  for a in range(len(j.map.table)))
 
@@ -187,7 +188,8 @@ def oracle_upper_table(j: BasicAssignment) -> tuple[int, ...]:
 def oracle_extract_table(s: IntervalStructure) -> tuple[int, ...]:
     """Cells as lower(A) minus every strict-subset lower image, enumerated."""
     lower = s.lower.table
-    return tuple(lo & ~reduce(or_, (c for b, c in enumerate(lower) if b != a and b & ~a == 0), 0)
+    images = _nonempty(lower)
+    return tuple(lo & ~reduce(or_, (c for b, c in images if b != a and b & ~a == 0), 0)
                  for a, lo in enumerate(lower))
 
 
