@@ -106,6 +106,8 @@ class ProbabilityAssignment:
         if len(nums) != self.space.n:
             raise ValidationError("need exactly one weight per situation")
         for name, w in zip(self.space.names, nums):
+            if isinstance(w, Fraction):
+                raise ValidationError(f"weight of {name} must be an integer numerator")
             if type(w) is not int:
                 raise ValidationError(f"weight of {name} is not a rational")
             if w < 0:
@@ -150,9 +152,15 @@ class ProbabilityAssignment:
         return _fraction_tables(self.denominator, self.numerators)[0]
 
     def of(self, mask: int) -> Fraction:
-        """Probability of a set of situations."""
+        """Probability of a set of situations, summed weight by weight: the
+        reference the tests hold ``_scaled_of`` and the bridge to."""
         self.space.check_mask(mask)
-        return Fraction(self._scaled_of(mask), self.denominator)
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += self.numerators[low.bit_length() - 1]
+            mask ^= low
+        return Fraction(total, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -176,6 +184,10 @@ class MassFunction:
             self.frame.check_mask(mask)
             if mask == 0:
                 raise ValidationError("the empty set cannot carry mass")
+            if isinstance(value, Fraction):
+                raise ValidationError(
+                    f"mass of {self.frame.format_subset(mask)} must be an integer numerator"
+                )
             if type(value) is not int or value <= 0:
                 raise ValidationError(
                     f"mass of {self.frame.format_subset(mask)} must be a positive rational"

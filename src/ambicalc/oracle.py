@@ -22,8 +22,7 @@ The cell rows (the lower and upper table oracles and j3) enumerate only the
 cells whose image is nonempty, and the extract table only the nonempty lower
 images.  An empty image adds nothing to a union and overlaps nothing, so the
 formulas, the scan order and the first witness are those of the walk over
-all 2^m subsets.  The three tables are plain loops: one generator per subset
-costs more than the unions it feeds.
+all 2^m subsets.
 """
 
 from __future__ import annotations
@@ -175,41 +174,23 @@ def oracle_verify(obj) -> AxiomReport:
 def oracle_lower_table(j: BasicAssignment) -> tuple[int, ...]:
     """lower(A) as the union of the nonempty cells of subsets of A, enumerated."""
     cells = _nonempty(j.map.table)
-    table = []
-    for a in range(len(j.map.table)):
-        union = 0
-        for b, c in cells:
-            if b & ~a == 0:
-                union |= c
-        table.append(union)
-    return tuple(table)
+    return tuple(reduce(or_, (c for b, c in cells if b & ~a == 0), 0)
+                 for a in range(len(j.map.table)))
 
 
 def oracle_upper_table(j: BasicAssignment) -> tuple[int, ...]:
     """upper(A) as the union of the nonempty cells meeting A, enumerated."""
     cells = _nonempty(j.map.table)
-    table = []
-    for a in range(len(j.map.table)):
-        union = 0
-        for b, c in cells:
-            if b & a:
-                union |= c
-        table.append(union)
-    return tuple(table)
+    return tuple(reduce(or_, (c for b, c in cells if b & a), 0)
+                 for a in range(len(j.map.table)))
 
 
 def oracle_extract_table(s: IntervalStructure) -> tuple[int, ...]:
     """Cells as lower(A) minus every strict-subset lower image, enumerated."""
     lower = s.lower.table
     images = _nonempty(lower)
-    table = []
-    for a, lo in enumerate(lower):
-        below = 0
-        for b, c in images:
-            if b != a and b & ~a == 0:
-                below |= c
-        table.append(lo & ~below)
-    return tuple(table)
+    return tuple(lo & ~reduce(or_, (c for b, c in images if b != a and b & ~a == 0), 0)
+                 for a, lo in enumerate(lower))
 
 
 def oracle_ambiguity_table(s: IntervalStructure) -> tuple[int, ...]:

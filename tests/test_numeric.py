@@ -58,8 +58,10 @@ def test_probability_validation():
         ProbabilityAssignment(sp, (1, 1), 3)
     with pytest.raises(ValidationError, match="^weight of w1 is negative$"):
         ProbabilityAssignment(sp, (-1, 4), 3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^weight of w1 is not a rational$"):
         ProbabilityAssignment(sp, (0.5, 0.5), 1)  # floats are not exact
+    with pytest.raises(ValidationError, match="^weight of w1 must be an integer numerator$"):
+        ProbabilityAssignment(sp, (Fraction(1, 2), Fraction(1, 2)), 1)
     with pytest.raises(ValidationError):
         ProbabilityAssignment(sp, (1,), 1)  # wrong arity
     with pytest.raises(ValidationError, match="^the denominator must be a positive integer$"):
@@ -81,6 +83,10 @@ def test_mass_validation():
         MassFunction(fr, {0: 1}, 1)
     with pytest.raises(ValidationError, match="^mass of {x} must be a positive rational$"):
         MassFunction(fr, {1: 0, 3: 1}, 1)
+    with pytest.raises(ValidationError, match="^mass of {x} must be a positive rational$"):
+        MassFunction(fr, {1: 0.5, 3: 1}, 1)
+    with pytest.raises(ValidationError, match="^mass of {x} must be an integer numerator$"):
+        MassFunction(fr, {1: Fraction(1, 2), 3: Fraction(1, 2)}, 1)
     with pytest.raises(ValidationError, match="^masses sum to 1/3, not 1$"):
         MassFunction(fr, {1: 1}, 3)
 

@@ -15,7 +15,6 @@ prints the digests of the program on the path.
 
 import hashlib
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -52,6 +51,7 @@ from ambicalc import (
     mass_from_structure,
     structure_from_assignment,
 )
+from ambicalc.numeric import as_numerators
 
 EXPECTED = {
     1: "32ccae37f91b3f882d6a38675626d2a3107754bc43bff80f4e1e98f386555363",
@@ -85,9 +85,11 @@ def nudged(values, flips, rng):
 def stand_in(frame, **tables):
     """A report stand-in: each Fraction table as ``<name>_num`` integers over
     the tables' least common ``denominator``."""
-    den = math.lcm(*(v.denominator for table in tables.values() for v in table))
-    scaled = {f"{name}_num": tuple(v.numerator * (den // v.denominator) for v in table)
-              for name, table in tables.items()}
+    nums, den = as_numerators([v for table in tables.values() for v in table])
+    scaled, start = {}, 0
+    for name, table in tables.items():
+        scaled[f"{name}_num"] = nums[start : start + len(table)]
+        start += len(table)
     return SimpleNamespace(frame=frame, denominator=den, **scaled)
 
 
