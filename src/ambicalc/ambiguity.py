@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import partial
 from operator import and_, or_
 
-from .frames import Frame, SituationSpace
 from .interval import (
     IntervalStructure,
+    MapBacked,
     SetValuedMap,
     axiom_report,
     image_at,
@@ -32,16 +32,8 @@ from .sweeps import (
 
 
 @dataclass(frozen=True)
-class AmbiguityMap:
-    map: SetValuedMap
-
-    @property
-    def frame(self) -> Frame:
-        return self.map.frame
-
-    @property
-    def space(self) -> SituationSpace:
-        return self.map.space
+class AmbiguityMap(MapBacked):
+    """Images of the situations where each proposition is undetermined."""
 
 
 def check_ambiguity_axioms(m: SetValuedMap) -> AxiomReport:

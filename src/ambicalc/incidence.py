@@ -10,7 +10,7 @@ is the constructive half of the decomposition upper = i ∪ a, lower = i ∩ ¬a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Mapping
 
@@ -26,6 +26,7 @@ from .frames import Frame, SituationSpace
 from .interval import (
     BasicAssignment,
     IntervalStructure,
+    MapBacked,
     SetValuedMap,
     _require_same_universes,
     axiom_report,
@@ -43,6 +44,7 @@ from .sweeps import (
     first_inter_hom_violation,
     first_union_hom_violation,
     inter_hom_failure,
+    joins,
     smallest_witness,
     union_hom_failure,
 )
@@ -60,17 +62,8 @@ class PointMap:
 
 
 @dataclass(frozen=True)
-class IncidenceMap:
-    map: SetValuedMap
+class IncidenceMap(MapBacked):
     origin: PointMap
-
-    @property
-    def frame(self) -> Frame:
-        return self.map.frame
-
-    @property
-    def space(self) -> SituationSpace:
-        return self.map.space
 
 
 @dataclass(frozen=True)
@@ -99,6 +92,11 @@ class Selector:
     def explicit(cls, table: Mapping[int, int]) -> "Selector":
         return cls("explicit", table=tuple(sorted(table.items())))
 
+    @cached_property
+    def _lookup(self) -> dict[int, int]:
+        """The ``explicit`` table as a dict, built on first use."""
+        return dict(self.table or ())
+
     def choose(self, focal_mask: int) -> int:
         if focal_mask <= 0:
             raise SelectorDomainError("focal element must be a nonempty subset")
@@ -110,7 +108,7 @@ class Selector:
             for _ in range(pick):
                 mask &= mask - 1
             return (mask & -mask).bit_length() - 1
-        lookup = dict(self.table or ())
+        lookup = self._lookup
         if focal_mask not in lookup:
             raise SelectorDomainError(f"no table entry for focal mask {focal_mask}")
         atom = lookup[focal_mask]
@@ -133,10 +131,7 @@ def incidence_from_pointmap(g: PointMap, frame: Frame, space: SituationSpace) ->
         if not isinstance(atom, int) or not 0 <= atom < frame.m:
             raise ValueError(f"point map sends situation {w} outside the frame")
         atom_cells[atom] |= 1 << w
-    table = [0]
-    for cell in atom_cells:
-        table += [t | cell for t in table]
-    return IncidenceMap(SetValuedMap(frame, space, tuple(table)), g)
+    return IncidenceMap(SetValuedMap(frame, space, joins(atom_cells)), g)
 
 
 def incidence_from_map(m: SetValuedMap) -> IncidenceMap:

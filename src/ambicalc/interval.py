@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import or_, xor
 
 from .errors import (
     AssignmentAxiomViolation,
@@ -31,10 +31,12 @@ from .sweeps import (
     first_union_bound_violation,
     first_union_hom_violation,
     inter_hom_failure,
+    joins,
     monotone_failure,
     overlap_failure,
     smallest_witness,
     union_hom_failure,
+    zeta,
 )
 
 
@@ -95,8 +97,10 @@ class IntervalStructure:
 
 
 @dataclass(frozen=True)
-class BasicAssignment:
-    """Cells of situations indexed by subsets: disjoint and space-covering."""
+class MapBacked:
+    """A kind held as one set-valued ``map``; its frame and space are the
+    map's.  Each kind is its own dataclass, so two kinds never compare
+    equal."""
 
     map: SetValuedMap
 
@@ -107,6 +111,11 @@ class BasicAssignment:
     @property
     def space(self) -> SituationSpace:
         return self.map.space
+
+
+@dataclass(frozen=True)
+class BasicAssignment(MapBacked):
+    """Cells of situations indexed by subsets: disjoint and space-covering."""
 
     def focal_masks(self) -> tuple[int, ...]:
         """Subsets with a nonempty cell, ascending by mask."""
@@ -269,34 +278,21 @@ def check_assignment(m: SetValuedMap) -> AxiomReport:
 
 def lower_table_from_cells(cells: tuple[int, ...]) -> tuple[int, ...]:
     """lower(A) = union of the cells of all subsets of A: an OR-zeta
-    transform, one pass per atom."""
-    out = list(cells)
-    size = len(out)
-    bit = 1
-    while bit < size:
-        out = [v | out[a ^ bit] if a & bit else v for a, v in enumerate(out)]
-        bit <<= 1
-    return tuple(out)
+    transform."""
+    return tuple(zeta(cells))
 
 
 def extract_assignment(s: IntervalStructure) -> BasicAssignment:
     """Recover the unique basic assignment of a structure.
 
-    Each cell is the lower image minus the union of the lower images of all
-    strict subsets.  The lower map is monotone, so that union is the union
-    over the maximal ones: cells(A) = lower(A) − ∪_{x∈A} lower(A−x).  ``s``
-    is a valid structure, so the cells partition the space and rebuild its
-    lower map; neither is checked again.
+    The cells of a valid structure are disjoint, so its lower map is their
+    XOR-zeta transform as well as their OR-zeta.  Over GF(2) the Möbius
+    inverse of the zeta transform is the zeta transform itself, so the cells
+    are the XOR-zeta transform of the lower map.  ``s`` is a valid
+    structure, so the cells partition the space and rebuild its lower map;
+    neither is checked again.
     """
-    lt = s.lower.table
-    size = len(lt)
-    below = [0] * size
-    bit = 1
-    while bit < size:
-        below = [v | lt[a ^ bit] if a & bit else v for a, v in enumerate(below)]
-        bit <<= 1
-    cells_t = tuple(low & ~strict for low, strict in zip(lt, below))
-    return BasicAssignment(SetValuedMap(s.frame, s.space, cells_t))
+    return BasicAssignment(SetValuedMap(s.frame, s.space, zeta(s.lower.table, xor)))
 
 
 def structure_from_assignment(j: BasicAssignment) -> IntervalStructure:
@@ -319,21 +315,13 @@ def _envelope(j: BasicAssignment) -> IntervalStructure:
     lower = SetValuedMap(j.frame, j.space, lower_table_from_cells(cells))
     upper = dual_map(lower)
 
-    # direct[A] = union of the cells meeting A, checked on every subset: the
-    # singleton {x} meets the cells whose subset holds x, and for larger A
-    # direct[A] = direct[A−low] ∪ direct[{low}], independently of the dual
-    direct = [0] * len(cells)
-    for b, cell in enumerate(cells):
-        rest = b if cell else 0
-        while rest:
-            x = rest & -rest
-            direct[x] |= cell
-            rest ^= x
-    for a, up in enumerate(upper.table):
-        if a & (a - 1):
-            low = a & -a
-            direct[a] = direct[a ^ low] | direct[low]
-        if direct[a] != up:
+    # the union of the cells meeting A, checked on every subset: the
+    # singleton {x} meets the cells whose subset holds x, and A meets the
+    # cells that one of its singletons meets, independently of the dual
+    focal = [(b, cell) for b, cell in enumerate(cells) if cell]
+    meets = [reduce(or_, (cell for b, cell in focal if b >> x & 1), 0) for x in range(j.frame.m)]
+    for a, (direct, up) in enumerate(zip(joins(meets), upper.table)):
+        if direct != up:
             raise InternalInvariantFailure(
                 "overlap formula disagrees with the dual upper map at "
                 f"{j.frame.format_subset(a)}"

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import add
 
 from .errors import FrameMismatch, SpaceMismatch, ValidationError
 from .frames import Frame, SituationSpace
@@ -29,7 +30,7 @@ from .interval import (
     witness_at,
 )
 from .reports import AxiomReport, Witness
-from .sweeps import first_submodular_violation, smallest_witness, submodular_failure
+from .sweeps import first_submodular_violation, joins, smallest_witness, submodular_failure, zeta
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -58,12 +59,7 @@ def _subset_sums(mass: "MassFunction") -> list[int]:
     z = [0] * (1 << mass.frame.m)
     for b, value in mass.numerators:
         z[b] = value
-    size = len(z)
-    bit = 1
-    while bit < size:
-        z = [v + z[a ^ bit] if a & bit else v for a, v in enumerate(z)]
-        bit <<= 1
-    return z
+    return zeta(z, add)
 
 
 def parse_rational(value) -> Fraction:
@@ -121,12 +117,7 @@ class ProbabilityAssignment:
             nums, den = tuple(w // g for w in nums), den // g
         # P(S)·D for a situation mask S is the sum of one lookup per chunk of
         # eight situations
-        tables = []
-        for k in range(0, len(nums), 8):
-            table = [0]
-            for w in nums[k : k + 8]:
-                table += [v + w for v in table]
-            tables.append(table)
+        tables = [joins(nums[k : k + 8], add) for k in range(0, len(nums), 8)]
         if len(tables) == 1:
             scaled = tables[0].__getitem__
         else:

@@ -16,6 +16,10 @@ int, and for row A one bitwise formula over the families B ↦ t(A∩B) and
 B ↦ t(A∪B) marks every B that violates the axiom with A.  The scans'
 trailing ``pairs`` argument is always None: it keeps the ``(…, size, pairs)``
 shape that their callers pass.
+
+The module also holds the two list transforms over the 2^m subsets that the
+tables are built from: ``zeta`` folds every entry into those of its
+supersets, and ``joins`` builds a table from the entries of the singletons.
 """
 
 from __future__ import annotations
@@ -140,10 +144,7 @@ def split_form_misses(t) -> int:
     The ambiguity axioms a1, a2, a3.1 and a3.2 hold together exactly when
     this is 0: when the split form holds in every situation."""
     size = len(t)
-    meets = [0] * size
-    for a in range(1, size):
-        low = a & -a
-        meets[a] = meets[a ^ low] | t[low]
+    meets = joins([t[1 << x] for x in range(size.bit_length() - 1)])
     misses = 0
     for a, ta in enumerate(t):
         misses |= ta ^ (meets[a] & meets[size - 1 ^ a])
@@ -158,6 +159,28 @@ def _or_zeta(packed: int, m: int, k: int, up: bool = False) -> int:
         shift = k << x
         packed |= (packed & hold) >> shift if up else (packed & ~hold) << shift
     return packed
+
+
+def zeta(values, op=or_) -> list:
+    """Entry A is ``op`` over the entries of ``values`` at every B ⊆ A: one
+    pass per atom x, in which each entry holding x takes in the entry
+    without it."""
+    out = list(values)
+    bit = 1
+    while bit < len(out):
+        out = [op(v, out[a ^ bit]) if a & bit else v for a, v in enumerate(out)]
+        bit <<= 1
+    return out
+
+
+def joins(singles, op=or_) -> list:
+    """Entry A is ``op`` over ``singles[x]`` for the atoms x of A, and 0 at
+    ∅: per atom in turn, the table doubles, its new half taking in that
+    atom's entry."""
+    table = [0]
+    for single in singles:
+        table += [op(v, single) for v in table]
+    return table
 
 
 def _first_bad(bad: int, size: int, low: int, k: int):

@@ -26,6 +26,7 @@ from ambicalc import (
     incidence_from_pointmap,
     select_incidence,
 )
+from ambicalc.harness import GenConfig, gen_assignment
 from ambicalc.sweeps import derive_seed
 
 
@@ -95,6 +96,20 @@ def test_all_explicit_selectors_small_fixtures(fix1, fix3):
             assert check_sandwich(fx["s"], inc).ok
             seen += 1
         assert seen == 2  # both fixtures have exactly one binary choice
+
+
+def test_explicit_selector_with_every_mask_at_sixteen_atoms():
+    # one table entry per nonempty subset of 16 atoms, each its highest atom
+    sel = Selector.explicit({mask: mask.bit_length() - 1 for mask in range(1, 1 << 16)})
+    assert all(sel.choose(mask) == mask.bit_length() - 1 for mask in range(1, 1 << 16))
+    j = gen_assignment(GenConfig(m=16, n=64, seed=5))
+    cells = j.map.table
+    targets = [0] * j.space.n
+    for mask in j.focal_masks():
+        for w in range(j.space.n):
+            if cells[mask] >> w & 1:
+                targets[w] = mask.bit_length() - 1
+    assert select_incidence(j, sel).origin.targets == tuple(targets)
 
 
 def test_seeded_selectors_many(fix1):

@@ -1,13 +1,16 @@
 import pytest
 
 from ambicalc import (
+    AmbiguityMap,
     AssignmentAxiomViolation,
     BasicAssignment,
     DualityViolation,
     Frame,
     FrameMismatch,
+    IncidenceMap,
     IntervalStructure,
     MaskOutOfRange,
+    PointMap,
     SetValuedMap,
     SituationSpace,
     SpaceMismatch,
@@ -23,6 +26,7 @@ from ambicalc import (
     make_interval_structure,
     structure_from_assignment,
 )
+from ambicalc.documents import dumps, loads
 
 
 def test_setvaluedmap_validation():
@@ -127,6 +131,18 @@ def test_structure_from_assignment_rejects_bad_cells():
 def test_focal_masks(fix1, fix3):
     assert fix1["j"].focal_masks() == (1, 2, 3)
     assert fix3["j"].focal_masks() == (3,)
+
+
+def test_map_backed_kinds_stay_distinct():
+    fr, sp = Frame(("x",)), SituationSpace(("w",))
+    m = SetValuedMap(fr, sp, (0, 1))
+    objs = [BasicAssignment(m), AmbiguityMap(m), IncidenceMap(m, PointMap((0,)))]
+    for k, obj in enumerate(objs):
+        assert (obj.frame, obj.space) == (fr, sp)
+        assert [obj == other for other in objs] == [j == k for j in range(3)]
+        assert loads(dumps(obj)) == (["assignment", "ambiguity", "incidence"][k], obj)
+    assert repr(objs[1]) == f"AmbiguityMap(map={m!r})"
+    assert repr(objs[2]) == f"IncidenceMap(map={m!r}, origin=PointMap(targets=(0,)))"
 
 
 def test_raw_structure_container_is_unchecked(fix1):

@@ -13,7 +13,9 @@ same pair as the O(4^m) ascending walks kept here as the reference.
 """
 
 import random
+from functools import reduce
 from itertools import product
+from operator import add, or_, xor
 
 import pytest
 
@@ -50,6 +52,7 @@ from ambicalc.sweeps import (
     first_union_bound_violation,
     first_union_hom_violation,
     inter_hom_failure,
+    joins,
     mixed_inter_failure,
     mixed_union_failure,
     monotone_failure,
@@ -58,6 +61,7 @@ from ambicalc.sweeps import (
     split_form_misses,
     submodular_failure,
     union_hom_failure,
+    zeta,
 )
 
 # the formula of each pair axiom, on a table t and a pair (a, b)
@@ -411,6 +415,37 @@ def test_chunked_packing_equals_one_join(size):
         raw = b"".join(int.to_bytes(cell >> low, width, "little") for cell in t)
         assert _pack(t, low, width) == int.from_bytes(raw, "little")
         assert _pack(tuple(t), low, width) == int.from_bytes(raw, "little")
+
+
+@pytest.mark.parametrize("op", [or_, add, xor])
+def test_zeta_is_op_over_every_subset(op):
+    """Entry A of ``zeta`` is ``op`` over the entries at every B ⊆ A, by
+    enumeration on seeded tables at m = 1–6 and on one-entry tables (m = 0)."""
+    rng = random.Random(41)
+    for m in range(7):
+        size = 1 << m
+        for _ in range(5):
+            t = [rng.getrandbits(16) for _ in range(size)]
+            subsets = [[b for b in range(size) if not b & ~a] for a in range(size)]
+            assert zeta(t, op) == [reduce(op, (t[b] for b in bs)) for bs in subsets]
+    assert zeta(t) == zeta(t, or_)
+
+
+@pytest.mark.parametrize("op", [or_, add])
+def test_joins_is_op_over_every_atom(op):
+    """Entry A of ``joins`` is ``op`` over the singles of A's atoms, 0 at ∅,
+    by enumeration on seeded singles at m = 1–6 and on no singles."""
+    rng = random.Random(43)
+    for m in range(1, 7):
+        for _ in range(5):
+            singles = [rng.getrandbits(16) for _ in range(m)]
+            want = [
+                reduce(op, (singles[x] for x in range(m) if a >> x & 1), 0)
+                for a in range(1 << m)
+            ]
+            assert joins(singles, op) == want
+    assert joins([], op) == [0]
+    assert joins(singles) == joins(singles, or_)
 
 
 # --- above the scan limit: no oracle, so re-verify every witness
