@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .ambiguity import ambiguity_from_interval, check_ambiguity_axioms
 from .documents import _parse_subset_key, _reject_duplicates, document_for, dumps, loads
-from .errors import AmbicalcError, ParseError, SchemaError, UsageError
+from .errors import AmbicalcError, ParseError, SchemaError, UnknownElement, UsageError
 from .frames import Frame
 from .harness import GenConfig, fuzz, gen_assignment, gen_pointmap, gen_probability, universes_for
 from .incidence import (
@@ -119,7 +119,11 @@ def _parse_selector(arg: str | None, frame: Frame) -> Selector:
         for key, atom in raw.items():
             if not isinstance(atom, str):
                 raise SchemaError(f"selector value for {key!r} must be an atom name")
-            mapping[_parse_subset_key(frame, key)] = frame.index_of(atom)
+            try:
+                index = frame.index_of(atom)
+            except UnknownElement as exc:
+                raise SchemaError(str(exc)) from exc
+            mapping[_parse_subset_key(frame, key)] = index
         return Selector.explicit(mapping)
     raise SchemaError(f"bad selector {arg!r}; use min, seed:N, or @table.json")
 

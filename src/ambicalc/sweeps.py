@@ -3,9 +3,11 @@
 Every pair axiom here holds for all 4^m pairs exactly when a local condition
 holds (the set-valued ones act bitwise on situation masks; α3 is
 submodularity): the ``*_failure`` tests decide each axiom in O(m·2^m) (α3 in
-O(m²·2^m), a3.1 in O(m²) big-int operations per situation tested).  Each
-test reads its table once, and a failing set-valued test also returns every
-situation where its axiom fails (a3.1 every one where the split form fails).
+O(m²·2^m), a3.1 in O(m²) big-int operations per situation tested).  The
+monotone, a3.2, compatibility and a3.1 tests are OR-zeta transforms of a
+packed table, a3.1 two per atom on one-bit slots.  Each test reads its table
+once, and a failing set-valued test also returns every situation where its
+axiom fails (a3.1 every one where the split form fails).
 
 A failing test's pair is the witness a check reports above ``SCAN_LIMIT``
 atoms; up to it, ``smallest_witness`` swaps in the first pair A <= B of the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from functools import cache, reduce
 from itertools import chain, repeat
-from operator import or_
+from operator import and_, or_
 
 # the largest frame whose failing checks scan for the smallest witness
 SCAN_LIMIT = 8
@@ -155,9 +157,9 @@ def _or_zeta(packed: int, m: int, k: int, up: bool = False) -> int:
     """A table packed in 2^m slots of k bits, slot A turned into the union of
     the slots B ⊆ A, or B ⊇ A when ``up``: per atom x, every slot without x
     takes in the one with x, or the reverse."""
-    for x, hold in enumerate(_kept_holding(m, k) if m <= SCAN_LIMIT else _holding(m, k)):
+    for x, hold in enumerate(_kept_holding(m, k) if m <= SCAN_LIMIT or k == 1 else _holding(m, k)):
         shift = k << x
-        packed |= (packed & hold) >> shift if up else (packed & ~hold) << shift
+        packed |= (packed & hold) >> shift if up else (packed << shift) & hold
     return packed
 
 
@@ -236,62 +238,42 @@ def _lowest(family: int) -> int:
 
 def _sublattice_failure(family: int, has: list) -> tuple[int, int] | None:
     """None when ``family`` (bit A set iff A is a member) is closed under ∪
-    and ∩, else two members whose meet or join is no member; ``has[x]`` is
+    and ∩, else two members whose join or meet is no member; ``has[x]`` is
     the family of the subsets holding atom x.
 
-    By Birkhoff's representation of finite distributive lattices, a nonempty
-    family is closed iff it holds every A with L ⊆ A ⊆ U and c(x) ⊆ A for
-    each x ∈ A, where L and U are the meet and the join of all members and
-    c(x) is the meet of the members holding x; every family lies inside that
-    set.  The lowest such A missing is rebuilt from members, step by step:
-    L, then for each atom x of A not yet in the union so far, c(x) and the
-    join of the union with it.  L and c(x) are meets of members.  Such a
-    meet G fails when it is not the lowest member M of the members it is
-    the meet of: then M and one of those members that lacks the lowest atom
-    of M − G meet below M, so at no member.  A join fails when it is no
-    member.  The first step that fails names the pair.
+    A non-member A ≠ ∅ is a join of members exactly when each atom x of A
+    lies in some member below A, an OR-zeta of the members holding x; dually
+    a non-member A ≠ Θ is a meet of members exactly when each atom x outside
+    A is missed by some member above A.  The family is closed iff no
+    non-member is either.  The lowest one that is, A, is rebuilt from the
+    lowest such member for each of those atoms in turn, and the first join
+    or meet that is no member names the pair.
     """
-    if not family:
+    m, everything = len(has), (1 << (1 << len(has))) - 1
+    # ∅ and every A with an atom no member below A holds; Θ and every A with
+    # an atom outside it that every member above A holds (each OR-zeta lies
+    # inside its mask, so XOR takes the difference)
+    unjoined, unmet = 1, everything ^ everything >> 1
+    for hold in has:
+        held = family & hold
+        unjoined |= hold ^ _or_zeta(held, m, 1)
+        unmet |= everything ^ hold ^ _or_zeta(family ^ held, m, 1, up=True)
+    bad = (everything ^ family) & ~(unjoined & unmet)
+    if not bad:
         return None
-    atoms = range(len(has))
-
-    def meet(members):
-        return sum(1 << x for x in atoms if not members & ~has[x])
-
-    low = meet(family)
-    core = {x: meet(family & has[x]) for x in atoms if family & has[x]}
-    closed = (1 << (1 << len(has))) - 1
-    for x in atoms:
-        if low >> x & 1:
-            closed &= has[x]
-        if x not in core:
-            closed &= ~has[x]
-        for y in atoms:
-            if core.get(x, 0) >> y & 1:
-                closed &= ~has[x] | has[y]
-    if closed == family:
-        return None
-    target = _lowest(closed & ~family)
-
-    def meet_pair(members, goal):
-        # the meet of the lowest member and the other is a proper subset of
-        # the lowest member, so a lower mask, and thus no member
-        first = _lowest(members)
-        if first == goal:
-            return None
-        return _pair(first, _lowest(members & ~has[_lowest(first & ~goal)]))
-
-    if (hit := meet_pair(family, low)) is not None:
-        return hit
-    cur = low
-    for x in atoms:
-        if target >> x & 1 and not cur >> x & 1:
-            if (hit := meet_pair(family & has[x], core[x])) is not None:
-                return hit
-            if not family >> (cur | core[x]) & 1:
-                return _pair(cur, core[x])
-            cur |= core[x]
-    # the last join gives target, which is no member, so this always returns
+    a = _lowest(bad)
+    if not unjoined >> a & 1:  # the members below A, each holding an atom of A
+        below = reduce(and_, (~hold for x, hold in enumerate(has) if not a >> x & 1), family)
+        parts, op = [_lowest(below & hold) for x, hold in enumerate(has) if a >> x & 1], or_
+    else:  # the members above A, each missing an atom outside A
+        above = reduce(and_, (hold for x, hold in enumerate(has) if a >> x & 1), family)
+        parts, op = [_lowest(above & ~hold) for x, hold in enumerate(has) if not a >> x & 1], and_
+    cur = parts[0]
+    for part in parts[1:]:
+        if not family >> op(cur, part) & 1:
+            return _pair(cur, part)
+        cur = op(cur, part)
+    # the last step gives A, which is no member, so this always returns
 
 
 def mixed_union_failure(t, misses):
@@ -307,7 +289,7 @@ def mixed_union_failure(t, misses):
     """
     size = len(t)
     everything = (1 << size) - 1
-    has = list(_holding(size.bit_length() - 1, 1))  # the subsets holding atom x
+    has = _kept_holding(size.bit_length() - 1, 1)  # the subsets holding atom x
     rest = misses
     while rest:
         w = _lowest(rest)
@@ -395,10 +377,12 @@ def _holding(m: int, k: int):
 @cache
 def _kept_holding(m: int, k: int) -> tuple:
     """``_holding``, kept for the frames up to ``SCAN_LIMIT`` atoms, whose
-    checks and scans ask for it again and again.  Each key's masks take
-    m·k·2^m bits, at most 16 KB for n <= 64 situations.  Above that a check
-    builds the masks a few times, and each is k·2^m bits, so they are not
-    kept."""
+    checks and scans ask for it again and again, and for one-bit slots at
+    every m, which the a3.1 test asks for 2m times per situation.  Each
+    key's masks take m·k·2^m bits: at most 16 KB for n <= 64 situations up
+    to ``SCAN_LIMIT``, and 128 KB for one-bit slots at 16 atoms.  Wider
+    slots above ``SCAN_LIMIT`` are built afresh: a check builds them a few
+    times, and each is k·2^m bits, so they are not kept."""
     return tuple(_holding(m, k))
 
 

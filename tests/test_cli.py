@@ -540,6 +540,8 @@ _TWO = {"kind": "assignment", "atoms": ["x", "y"], "situations": ["w1", "w2"]}
          (2, "error: a selector table must be a JSON object")),
         (["incidence", fx("fix1_assignment.json"), "--selector", "@TABLE", {"x": 1}],
          (2, "error: selector value for 'x' must be an atom name")),
+        (["incidence", fx("fix1_assignment.json"), "--selector", "@TABLE", {"x": "zz"}],
+         (2, "error: unknown element 'zz'")),
         (["check", {**_TWO, "atoms": "x", "body": {}}],
          (2, "error: atoms must be a list of strings")),
         (["check", {**_TWO, "situations": ["w1", "w1"], "body": {}}],

@@ -60,7 +60,7 @@ EXPECTED = {
     4: "83a1d24f3f9d9b14067970b899ac42052b341fa57b8aff14d16d94e31c10c3b2",
     5: "17d47ce65e3f8938c4b6cc948fefc9c5d8cde484fca5a4604e6b4a30dfb9a857",
     6: "80c9109b1830fd50bc79ad8a497733631103021a74374577e2c131f49cb600cc",
-    9: "13d6d1a7ae92037edbb1d71ce502a9869330b2dc61abefaa83d0377f929144c6",
+    9: "52a589786b37de26f1a2a6670073db9f52a6f9de6621269f65746e69867804a8",
 }
 
 SEEDS = 7
