@@ -40,12 +40,10 @@ from .reports import AxiomReport
 from .sweeps import (
     compat_failure,
     derive_seed,
-    first_compat_violation,
     first_inter_hom_violation,
     first_union_hom_violation,
     inter_hom_failure,
     joins,
-    smallest_witness,
     union_hom_failure,
 )
 
@@ -98,6 +96,11 @@ class Selector:
         return dict(self.table or ())
 
     def choose(self, focal_mask: int) -> int:
+        return self._choose(focal_mask, None)
+
+    def _choose(self, focal_mask: int, frame: Frame | None) -> int:
+        """``choose``; an ``explicit`` table's failure names the focal
+        element and the atom by their names in ``frame``, when given."""
         if focal_mask <= 0:
             raise SelectorDomainError("focal element must be a nonempty subset")
         if self.kind == "min-index":
@@ -108,15 +111,17 @@ class Selector:
             for _ in range(pick):
                 mask &= mask - 1
             return (mask & -mask).bit_length() - 1
-        lookup = self._lookup
-        if focal_mask not in lookup:
-            raise SelectorDomainError(f"no table entry for focal mask {focal_mask}")
-        atom = lookup[focal_mask]
-        if not focal_mask >> atom & 1:
-            raise SelectorDomainError(
-                f"table entry {atom} lies outside focal mask {focal_mask}"
-            )
-        return atom
+        atom = self._lookup.get(focal_mask)
+        if atom is not None and focal_mask >> atom & 1:
+            return atom
+        if frame is None:
+            focal = f"focal mask {focal_mask}"
+        else:
+            focal = f"focal element {frame.format_subset(focal_mask)}"
+        if atom is None:
+            raise SelectorDomainError(f"no table entry for {focal}")
+        name = atom if frame is None else frame.atoms[atom]
+        raise SelectorDomainError(f"table entry {name} lies outside {focal}")
 
 
 def incidence_from_pointmap(g: PointMap, frame: Frame, space: SituationSpace) -> IncidenceMap:
@@ -187,7 +192,7 @@ def select_incidence(j: BasicAssignment, sel: Selector) -> IncidenceMap:
         cell = cells[mask]
         if not cell:
             continue
-        atom = sel.choose(mask)
+        atom = sel._choose(mask, j.frame)
         while cell:
             low = cell & -cell
             targets[low.bit_length() - 1] = atom
@@ -209,8 +214,7 @@ def check_compatibility(i: IncidenceMap, a: AmbiguityMap) -> AxiomReport:
     _require_same_universes(i, a, "incidence and ambiguity maps")
     at, it = a.map.table, i.map.table
     name = i.space.format_subset
-    hit = smallest_witness(compat_failure(at, it), first_compat_violation, at, it)
-    return axiom_report(("compatibility", witness_at(i.frame, hit, lambda x, y: (
+    return axiom_report(("compatibility", witness_at(i.frame, compat_failure(at, it), lambda x, y: (
         f"a(A)∪a(B)={name(at[x] | at[y])} ⊄ i(A∪B)∪a(A∪B)={name(it[x | y] | at[x | y])}"
     ))))
 

@@ -30,7 +30,7 @@ from .interval import (
     witness_at,
 )
 from .reports import AxiomReport, Witness
-from .sweeps import first_submodular_violation, joins, smallest_witness, submodular_failure, zeta
+from .sweeps import joins, submodular_failure, zeta
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -348,8 +348,6 @@ def fishburn_report(report: BeliefReport) -> AxiomReport:
     alpha, den = report.alpha_num, report.denominator
     negative = 0 if alpha[0] else next((a for a, v in enumerate(alpha) if v < 0), None)
     asymmetric = next((a for a in range(len(alpha)) if alpha[a] != alpha[full ^ a]), None)
-    fault = (submodular_failure(alpha), None)  # α3 is not set-valued: no situations
-    supermodular = smallest_witness(fault, first_submodular_violation, alpha)
     return axiom_report(
         ("α1", witness_at(fr, negative, lambda a: (
             f"α = {_render(alpha[a], den)} < 0" if a else f"α(∅) = {_render(alpha[0], den)}"
@@ -357,7 +355,7 @@ def fishburn_report(report: BeliefReport) -> AxiomReport:
         ("α2", witness_at(fr, asymmetric, lambda a: (
             f"α(A)={_render(alpha[a], den)} but α(¬A)={_render(alpha[full ^ a], den)}"
         ))),
-        ("α3", witness_at(fr, supermodular, lambda a, b: (
+        ("α3", witness_at(fr, submodular_failure(alpha), lambda a, b: (
             f"α(A∩B)+α(A∪B)={_render(alpha[a & b] + alpha[a | b], den)}"
             f" > α(A)+α(B)={_render(alpha[a] + alpha[b], den)}"
         ))),

@@ -6,18 +6,19 @@ submodularity): the ``*_failure`` tests decide each axiom in O(m·2^m) (α3 in
 O(m²·2^m), a3.1 in O(m²) big-int operations per situation tested).  The
 monotone, a3.2, compatibility and a3.1 tests are OR-zeta transforms of a
 packed table, a3.1 two per atom on one-bit slots.  Each test reads its table
-once, and a failing set-valued test also returns every situation where its
-axiom fails (a3.1 every one where the split form fails).
+once, and a failing test on one set-valued table also returns every
+situation where its axiom fails (a3.1 every one where the split form fails).
 
-A failing test's pair is the witness a check reports above ``SCAN_LIMIT``
-atoms; up to it, ``smallest_witness`` swaps in the first pair A <= B of the
-ascending ``first_*_violation`` scan (every axiom here is symmetric).  A
-set-valued axiom holds iff it holds situation by situation, so those scans
-search only the failing situations, and row by row: the table packs into one
-int, and for row A one bitwise formula over the families B ↦ t(A∩B) and
-B ↦ t(A∪B) marks every B that violates the axiom with A.  The scans'
-trailing ``pairs`` argument is always None: it keeps the ``(…, size, pairs)``
-shape that their callers pass.
+A failing test's pair is the witness a check reports: for compatibility and
+α3 at every size, and for the others above ``SCAN_LIMIT`` atoms.  Up to it,
+``smallest_witness`` swaps in the first pair A <= B of the ascending
+``first_*_violation`` scan (every axiom here is symmetric).  A set-valued
+axiom holds iff it holds situation by situation, so those scans search only
+the failing situations, and row by row: the table packs into one int, and
+for row A one bitwise formula over the families B ↦ t(A∩B) and B ↦ t(A∪B)
+marks every B that violates the axiom with A.  The scans' trailing ``pairs``
+argument is always None: it keeps the ``(…, size, pairs)`` shape that their
+callers pass.
 
 The module also holds the two list transforms over the 2^m subsets that the
 tables are built from: ``zeta`` folds every entry into those of its
@@ -45,25 +46,21 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def smallest_witness(fault, scan, *tables):
-    """The witness to report for ``fault``, a test's None or (pair,
-    situations).
+def smallest_witness(fault, scan, table):
+    """The witness to report for ``fault``, a set-valued test's None or
+    (pair, situations).
 
     None on a pass.  Above ``SCAN_LIMIT`` atoms a failure reports the test's
     own pair; up to it, the first pair of the ascending ``scan`` over
-    ``tables``, the smallest violating pair.  A set-valued scan searches the
-    situations of its first table, so that table goes in cut down to the
-    situations where the axiom fails: every violating pair violates it in one
-    of them.  Only α3, which does not act situation by situation, passes
-    None for the situations, and cuts nothing.
+    ``table`` cut down to the situations where the axiom fails, the smallest
+    violating pair: every violating pair violates it in one of them.
     """
-    hit, within = fault or (None, None)
-    first, *rest = tables
-    if hit is None or len(first) > 1 << SCAN_LIMIT:
+    if fault is None:
+        return None
+    hit, within = fault
+    if len(table) > 1 << SCAN_LIMIT:
         return hit
-    if within is not None:
-        first = [cell & within for cell in first]
-    return scan(first, *rest, len(first), None)
+    return scan([cell & within for cell in table], len(table), None)
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -327,17 +324,20 @@ def submodular_failure(t):
 
 
 def compat_failure(amb, inc):
-    """None when a(A) ∪ a(B) ⊆ i(A∪B) ∪ a(A∪B) for every pair, else a pair
-    (A, U) with A ⊆ U where it fails and the situations where it does.
+    """None when a(A) ∪ a(B) ⊆ i(A∪B) ∪ a(A∪B) for every pair, else the pair
+    A, U−A, the lower first, where it fails.
 
     Exact for any two tables: that holds iff ∪_{A⊆U} a(A) ⊆ i(U) ∪ a(U) for
-    every U, and the left side is the OR-zeta transform of ``amb``.
+    every U, and the left side is the OR-zeta transform of ``amb``.  U is
+    the lowest failing subset and A the lowest subset of U whose image holds
+    U's lowest bad situation, which a(U) misses, so A ≠ U.
     """
     found = _packed_fault(lambda m, k, a, i: _or_zeta(a, m, k) & ~(i | a), amb, inc)
     if found is None:
         return None
-    u, w, within = found
-    return (next(a for a in range(u + 1) if not a & ~u and amb[a] & w), u), within
+    u, w, _ = found
+    a = next(a for a in range(u) if not a & ~u and amb[a] & w)
+    return _pair(a, u ^ a)
 
 
 def _layout(t) -> tuple[int, int]:
@@ -386,14 +386,14 @@ def _kept_holding(m: int, k: int) -> tuple:
     return tuple(_holding(m, k))
 
 
-def _first_in_families(t, size, rule, meets=False, joins=False, joined=None):
+def _first_in_families(t, size, rule, meets=False, joins=False):
     """The first (A, B), A <= B in ascending order, where ``rule(Â, S, M, J)``
     marks slot B, or None.
 
     S is ``t`` packed into slots, Â row A's slot copied into every slot, and
     M and J the families B ↦ t(A∩B) and B ↦ t(A∪B) when ``meets`` and
-    ``joins`` ask for them; J is taken of t ∪ ``joined`` when it is given.  A
-    slot holds the situations from the lowest of ``t``'s up to its highest.
+    ``joins`` ask for them.  A slot holds the situations from the lowest of
+    ``t``'s up to its highest.
     """
     low, width = _layout(t)
     if low < 0:
@@ -403,11 +403,9 @@ def _first_in_families(t, size, rule, meets=False, joins=False, joined=None):
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * size, "little")  # a 1 in every slot
     has = _kept_holding(size.bit_length() - 1, k)
     without = [full ^ hold for hold in has]
-    table = union = _pack(t, low, width)
-    if joined is not None:
-        union = _pack([(x | y) & slot << low for x, y in zip(t, joined)], low, width)
+    table = _pack(t, low, width)
     for a in range(size):
-        meet, join = table, union
+        meet = join = table
         for x, (hold, miss) in enumerate(zip(has, without)):
             if a >> x & 1:
                 if joins:
@@ -466,20 +464,3 @@ def first_mixed_inter_violation(t, size, pairs):
     return _first_in_families(
         t, size, lambda row, s, meet, join: meet & join & ~(row & s), meets=True, joins=True
     )
-
-
-def first_compat_violation(amb, inc, size, pairs):
-    """First (A, B) with a(A) ∪ a(B) ⊄ i(A∪B) ∪ a(A∪B)."""
-    return _first_in_families(
-        amb, size, lambda row, s, meet, join: (row | s) & ~join, joins=True, joined=inc
-    )
-
-
-def first_submodular_violation(t, size, pairs):
-    """First (A, B) with t(A∩B) + t(A∪B) > t(A) + t(B), on an integer table."""
-    for a in range(size):
-        ta = t[a]
-        for b in range(a, size):
-            if t[a & b] + t[a | b] > ta + t[b]:
-                return a, b
-    return None

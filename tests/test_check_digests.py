@@ -9,7 +9,8 @@ valid and with each kind of fault a point map can have, have their own
 digest per m.  The digests were
 recorded with the ascending pair scans as the witness search, so they pin
 every verdict, witness and detail text of the faster search; m=9 is above
-the scan limit, where a witness is the pair the exact test derives.
+the scan limit, where a witness is the pair the exact test derives, as is
+the pair that ``compose`` names for compatibility at every m.
 
     PYTHONPATH=src python tests/test_check_digests.py
 
@@ -31,12 +32,12 @@ EXPECTED = {
     1: "61302e0efd7df79df6c80fd22af09ec3eced1d3ead083ad64c9050a91b705016",
     2: "4d2795129d0a89e3cc51ca75fbcfbe37af522bf034b21c934c9eab5c25301678",
     3: "c8189ce4d04e32ad052de43ce49ec8d2243a18d4665c20ba95200ac2af975779",
-    4: "a3cab344cfc44229573cca4f7a05a6ae778325d04f3d872d742d7860c3c0e2d4",
+    4: "4b27e03f65e8030ba70a4965928c45fa417ab6569c58e6e7712c27342462e725",
     5: "ed4c501489de7290bf2e62278894323915fa4e75d85e8e13a1d8cf987a78d131",
-    6: "59261c756eaaca6258f19e5efd734fd9190aa63315d5bd7e9ccc3c803bf73a41",
-    7: "f7f1d1eb95749178518140a271412033e008e04bf002ef24fecf686b065bd515",
-    8: "80f3543877b928f1a0bc83c9ac937700a39c6612c2fe0ff5ebd2069a3c11d2cf",
-    9: "76a2b83c38a6c18e7e7ae96e4c6399d748b2e7b327648961efecee707d55cb59",
+    6: "53c5285c770531b34c9ac1550ee70cb153ecec486da2970c458b7d562e2e025f",
+    7: "4d342638d594aad7fb00cf6b431bb94a0d2ffcd4f70f1f4bec54571c38662f94",
+    8: "55d3cfb68c9d56bfee37adb7a530820cc1f96ab4daed7e35a912f58a52d6f146",
+    9: "6b2be6152f7c4a2d83c40c565e7ea2384297785cdfad83d07cbaebbf61b883c7",
 }
 
 INCIDENCE_EXPECTED = {

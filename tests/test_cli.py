@@ -213,12 +213,17 @@ def test_explicit_selector_table(tmp_path):
     assert code == 0
     _, inc = loads(text)
     assert inc.origin.targets == (0, 1, 1)
-    # an entry outside its focal element is a domain failure, not a parse one
-    table.write_text(json.dumps({"x": "y", "y": "y", "x,y": "y"}), encoding="utf-8")
-    code, _ = run_command(
-        ["incidence", fx("fix1_assignment.json"), "--selector", f"@{table}"]
-    )
-    assert code == 1
+    # a missing entry, or one outside its focal element, is a domain failure,
+    # not a parse one, and names the element and the atom
+    for entries, message in (
+        ({"x": "x"}, "no table entry for focal element {y}"),
+        ({"x": "y", "y": "y", "x,y": "y"}, "table entry y lies outside focal element {x}"),
+    ):
+        table.write_text(json.dumps(entries), encoding="utf-8")
+        code, text = run_command(
+            ["incidence", fx("fix1_assignment.json"), "--selector", f"@{table}"]
+        )
+        assert (code, text) == (1, f"error: {message}")
 
 
 def test_decompose_to_files(tmp_path):

@@ -7,9 +7,12 @@ through both the test and the full scan, seeded multi-situation tables at
 m ∈ {6, 8} through the checkers and the oracle, and tables at m ∈ {9, 12, 16},
 where the oracle is out of reach, through the checkers alone, with every
 reported witness re-verified from the axiom's formula.  Small tables lifted
-to m ∈ {9, 12, 16} carry their scanned a3.1/a3.2 verdicts with them.  The
-``first_*_violation`` scans, which search situation families, must name the
-same pair as the O(4^m) ascending walks kept here as the reference.
+to m ∈ {9, 12, 16} carry their scanned a3.1/a3.2 verdicts, and their walked
+compatibility verdicts, with them.  The ``first_*_violation`` scans, which
+search situation families, must name the same pair as the O(4^m) ascending
+walks kept here as the reference.  Compatibility and α3 have no scan: their
+checks report the test's own pair at every size, so their tests must give
+the walk's verdict and a pair that violates the axiom.
 """
 
 import random
@@ -42,13 +45,11 @@ from ambicalc.sweeps import (
     _pack,
     _sublattice_failure,
     compat_failure,
-    first_compat_violation,
     first_inter_bound_violation,
     first_inter_hom_violation,
     first_mixed_inter_violation,
     first_mixed_union_violation,
     first_overlap_violation,
-    first_submodular_violation,
     first_union_bound_violation,
     first_union_hom_violation,
     inter_hom_failure,
@@ -96,7 +97,7 @@ def ascending_walk(violated):
 
 
 # (local test, family scan, formula) of each set-valued pair axiom on one
-# table, and the same for compatibility on an (amb, inc) pair
+# table
 TABLE_SCANS = {
     "f̄3": (union_hom_failure, first_union_hom_violation, UNION_HOM),
     "f3": (inter_hom_failure, first_inter_hom_violation, INTER_HOM),
@@ -105,24 +106,32 @@ TABLE_SCANS = {
     "a3.1": (lambda t: mixed_union_failure(t, split_form_misses(t)), first_mixed_union_violation, MIXED_UNION),
     "a3.2": (lambda t: mixed_inter_failure(t, split_form_misses(t)), first_mixed_inter_violation, MIXED_INTER),
 }
-COMPAT_SCAN = (compat_failure, first_compat_violation, compat_violated)
 
 
-def assert_same_witness(axiom, scans, *tables):
+def assert_same_witness(axiom, scans, t):
     """The local test fails exactly when the reference walk finds a pair,
     with a pair that violates the axiom, and the family scan names the
-    walk's pair: called directly, and as a checker calls it, on the tables
+    walk's pair: called directly, and as a checker calls it, on the table
     cut down to the situations the test reports."""
     test, scan, formula = scans
-    expected = ascending_walk(formula)(*tables)
-    assert scan(*tables, len(tables[0]), None) == expected, (axiom, tables)
-    fault = test(*tables)
-    assert (fault is None) == (expected is None), (axiom, tables)
+    expected = ascending_walk(formula)(t)
+    assert scan(t, len(t), None) == expected, (axiom, t)
+    fault = test(t)
+    assert (fault is None) == (expected is None), (axiom, t)
     if fault is None:
         return
-    assert formula(*tables, *fault[0]), (axiom, tables)
-    if fault[1] is not None and any(cell & ~fault[1] for t in tables for cell in t):
-        assert smallest_witness(fault, scan, *tables) == expected, (axiom, tables)
+    assert formula(t, *fault[0]), (axiom, t)
+    if any(cell & ~fault[1] for cell in t):
+        assert smallest_witness(fault, scan, t) == expected, (axiom, t)
+
+
+def assert_walk_verdict(test, formula, *tables):
+    """The test of an axiom without a scan (compatibility, α3) fails exactly
+    when the reference walk finds a pair, with a pair that violates the
+    axiom."""
+    hit = test(*tables)
+    assert (hit is None) == (ascending_walk(formula)(*tables) is None), tables
+    assert hit is None or formula(*tables, *hit), (tables, hit)
 
 
 def one_situation_tables(m):
@@ -165,10 +174,14 @@ def lifted_subsets(m, big):
 
 @pytest.mark.parametrize("big", [9, 12, 16])
 def test_mixed_bound_tests_keep_the_verdicts_of_lifted_tables(big):
+    """Every 1-situation table, and every pair of one as the ambiguity table
+    with the incidence map of a point map, lifted by the same projection."""
+    compat_verdicts = set()
     for m in (1, 2) if big == 16 else (1, 2, 3):
         projected = lifted_subsets(m, big)
+        lifted = {}
         for s in one_situation_tables(m):
-            t = tuple(s[p] for p in projected)
+            t = lifted[s] = tuple(s[p] for p in projected)
             for test, scan, formula in (
                 (lambda t: mixed_union_failure(t, split_form_misses(t)), first_mixed_union_violation, MIXED_UNION),
                 (lambda t: mixed_inter_failure(t, split_form_misses(t)), first_mixed_inter_violation, MIXED_INTER),
@@ -176,6 +189,15 @@ def test_mixed_bound_tests_keep_the_verdicts_of_lifted_tables(big):
                 hit = pair_of(test(t))
                 assert (hit is None) == (scan(s, len(s), None) is None), (test.__name__, s)
                 assert hit is None or formula(t, *hit), (test.__name__, s)
+        for x in range(m):
+            inc = tuple(a >> x & 1 for a in range(1 << m))
+            for amb in one_situation_tables(m):
+                hit = compat_failure(lifted[amb], lifted[inc])
+                walked = ascending_walk(compat_violated)(amb, inc)
+                assert (hit is None) == (walked is None), (amb, inc)
+                assert hit is None or compat_violated(lifted[amb], lifted[inc], *hit), (amb, inc)
+                compat_verdicts.add(hit is None)
+    assert compat_verdicts == {True, False}
 
 
 @pytest.mark.parametrize("m, valid", [(1, 1), (2, 2), (3, 5), (4, 12)])
@@ -196,34 +218,34 @@ def test_split_form_is_the_conjunction_of_a1_to_a3_2(m, valid):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_compat_test_matches_the_scan_on_every_pair_of_tables(m):
+def test_compat_test_matches_the_walk_on_every_pair_of_tables(m):
     tables = list(one_situation_tables(m))
     for amb, inc in product(tables, tables):
-        assert_same_witness("compatibility", COMPAT_SCAN, amb, inc)
+        assert_walk_verdict(compat_failure, compat_violated, amb, inc)
 
 
-def test_compat_test_matches_the_scan_at_four_atoms():
+def test_compat_test_matches_the_walk_at_four_atoms():
     """Every 1-situation ambiguity table against the incidence map of the
     point map onto x1; relabeling the atoms carries these pairs onto those of
     every other point map."""
     inc = tuple(a & 1 for a in range(16))
     for amb in one_situation_tables(4):
-        assert_same_witness("compatibility", COMPAT_SCAN, amb, inc)
+        assert_walk_verdict(compat_failure, compat_violated, amb, inc)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_submodular_test_matches_the_scan_on_small_integer_tables(m):
+def test_submodular_test_matches_the_walk_on_small_integer_tables(m):
     size = 1 << m
     for values in product(range(3), repeat=size):
-        assert agrees(submodular_failure, first_submodular_violation, SUBMODULAR, values)
+        assert_walk_verdict(submodular_failure, SUBMODULAR, values)
 
 
-def test_submodular_test_matches_the_scan_on_random_tables():
+def test_submodular_test_matches_the_walk_on_random_tables():
     rng = random.Random(5)
     for m in (4, 5):
         for _ in range(300):
             t = tuple(rng.randrange(4) for _ in range(1 << m))
-            assert agrees(submodular_failure, first_submodular_violation, SUBMODULAR, t)
+            assert_walk_verdict(submodular_failure, SUBMODULAR, t)
 
 
 # --- seeded multi-situation tables
@@ -323,8 +345,8 @@ def test_family_scans_name_the_smallest_pair_on_seeded_faults(m, n):
             assert_same_witness(axiom, scans, bad[PAIR_FORMULAS[axiom][0]])
         for axiom in ("f̄3", "f3"):
             assert_same_witness(axiom, TABLE_SCANS[axiom], bad["inc"])
-        assert_same_witness("compatibility", COMPAT_SCAN, gap, bad["inc"])
-        assert_same_witness("compatibility", COMPAT_SCAN, bad["amb"], inc)
+        assert_walk_verdict(compat_failure, compat_violated, gap, bad["inc"])
+        assert_walk_verdict(compat_failure, compat_violated, bad["amb"], inc)
 
 
 def failing_situations(violated, n, *tables):
@@ -360,10 +382,6 @@ def test_each_test_returns_every_situation_where_its_axiom_fails(m):
                 for t in tables
             ]
             cases += [("j3", overlap_failure, OVERLAP, (t,)) for t in tables]
-            cases += [
-                ("compatibility", compat_failure, compat_violated, pair)
-                for pair in ((tables[3], inc), (gap, tables[4]))
-            ]
             for axiom, test, formula, args in cases:
                 fault = test(*args)
                 expected = failing_situations(formula, n, *args)
@@ -400,7 +418,7 @@ def test_family_scans_name_the_smallest_pair_on_random_tables(m):
             for axiom, scans in TABLE_SCANS.items():
                 assert_same_witness(axiom, scans, t)
             inc = [rng.getrandbits(n) for _ in range(1 << m)]
-            assert_same_witness("compatibility", COMPAT_SCAN, t, inc)
+            assert_walk_verdict(compat_failure, compat_violated, t, inc)
 
 
 @pytest.mark.parametrize("size", [1, 1023, 1024, 3000, 1 << 12])

@@ -55,12 +55,12 @@ from ambicalc.numeric import as_numerators
 
 EXPECTED = {
     1: "32ccae37f91b3f882d6a38675626d2a3107754bc43bff80f4e1e98f386555363",
-    2: "0d57f4cfbdba25db44c48120582121ff20ae369a37e35bc053da1351e14a8802",
-    3: "91acb5b18b9a7fa06f38ae96d882ea46b684de21c29facad14b4336661376b24",
-    4: "83a1d24f3f9d9b14067970b899ac42052b341fa57b8aff14d16d94e31c10c3b2",
-    5: "17d47ce65e3f8938c4b6cc948fefc9c5d8cde484fca5a4604e6b4a30dfb9a857",
-    6: "80c9109b1830fd50bc79ad8a497733631103021a74374577e2c131f49cb600cc",
-    9: "52a589786b37de26f1a2a6670073db9f52a6f9de6621269f65746e69867804a8",
+    2: "facac23719486b1e508d53cd155a3aa454109ded032ebd3ee4cd773bd7179728",
+    3: "d2526150464f8cb76f45ebb24324bef0654924a1cb2720090c9dec0ce5be7a45",
+    4: "bc412423b01b2d3d38b1ba0d67971ce45c299c0ae505824d2c84f562a087c1a7",
+    5: "1816e9adf228d4c29680da2ab3527346b7a9160188a33e51bcf006db58f2c51b",
+    6: "dedd0902d420e1278066600237f1911572ed7a9fa543da055e8d2fb7470bb03c",
+    9: "e4f318d78491f3a095ec9a3be037b819c4425b208fb63b5a8da6142c6b96ba85",
 }
 
 SEEDS = 7
